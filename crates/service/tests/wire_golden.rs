@@ -16,10 +16,11 @@
 use geomap_service::frame;
 use geomap_service::hist::{Histogram, SCHEMA_VERSION};
 use geomap_service::proto::{
-    CacheTier, CalibSpec, ErrorCode, ErrorResponse, HistSummary, MapRequest, MapResponse, Request,
-    Response, StatsDetail, StatsResponse, TraceContext, TraceDumpResponse, WireTraceEvent,
-    WireTrack,
+    CacheTier, CalibSpec, ErrorCode, ErrorResponse, HistSummary, JournalResponse, MapRequest,
+    MapResponse, MultilevelSpec, RemapDiffResponse, RemapRequest, Request, Response, StatsDetail,
+    StatsResponse, TraceContext, TraceDumpResponse, WireTraceEvent, WireTrack,
 };
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -94,8 +95,109 @@ fn request_corpus() -> Vec<(&'static str, u64, Request)> {
             },
         ),
         ("trace dump", 8, Request::TraceDump { id: "td".into() }),
+        // Journal, remap and multilevel kinds — appended after the
+        // blocks above, which keep their exact bytes.
+        (
+            "journal",
+            9,
+            Request::Journal {
+                id: "jr".into(),
+                key: "client-7/42".into(),
+            },
+        ),
+        (
+            "remap minimal",
+            10,
+            Request::Remap(RemapRequest::new(
+                "rm-bare",
+                "src,dst,bytes,msgs\n0,1,1,1\n",
+                vec![0, 1],
+            )),
+        ),
+        (
+            "remap full",
+            11,
+            Request::Remap(RemapRequest {
+                constraints_csv: Some("process,site\n0,1\n".into()),
+                budget: Some(3),
+                alpha: 0.375,
+                calibration: CalibSpec {
+                    days: 2,
+                    probes_per_day: 5,
+                    noise_cv: 0.0625,
+                    loss_rate: 0.25,
+                    seed: 99,
+                },
+                lease: Some(41),
+                ..RemapRequest::new(
+                    "rm-full",
+                    "src,dst,bytes,msgs\n0,1,5,2\n1,0,7,3\n",
+                    vec![1, 1, 0, 2],
+                )
+            }),
+        ),
+        (
+            "map multilevel",
+            12,
+            Request::Map(MapRequest {
+                algorithm: "multilevel".into(),
+                multilevel: Some(MultilevelSpec {
+                    coarsen_cutoff: 256,
+                    match_rounds: 3,
+                    refine_passes: 1,
+                }),
+                ..MapRequest::new("ml", "src,dst,bytes,msgs\n0,1,1,1\n")
+            }),
+        ),
+        (
+            "map multilevel traced",
+            13,
+            Request::Map(MapRequest {
+                algorithm: "multilevel".into(),
+                trace: Some(TraceContext {
+                    trace_id: 0x0001_2345_6789_ABCD,
+                    parent_span: 5,
+                    sampled: false,
+                }),
+                multilevel: Some(MultilevelSpec::default()),
+                ..MapRequest::new("ml-traced", "src,dst,bytes,msgs\n0,1,1,1\n")
+            }),
+        ),
     ]
 }
+
+/// The variant index of a request. Exhaustive on purpose: a new
+/// variant fails to compile here until it gets an index, and then
+/// `corpus_covers_every_kind` fails until it gets a fixture.
+fn request_kind(request: &Request) -> usize {
+    match request {
+        Request::Map(_) => 0,
+        Request::Release { .. } => 1,
+        Request::Stats { .. } => 2,
+        Request::Shutdown { .. } => 3,
+        Request::Journal { .. } => 4,
+        Request::TraceDump { .. } => 5,
+        Request::Remap(_) => 6,
+    }
+}
+
+const REQUEST_KINDS: usize = 7;
+
+/// The variant index of a response (see [`request_kind`]).
+fn response_kind(response: &Response) -> usize {
+    match response {
+        Response::Map(_) => 0,
+        Response::Release { .. } => 1,
+        Response::Stats(_) => 2,
+        Response::Shutdown { .. } => 3,
+        Response::Journal(_) => 4,
+        Response::TraceDump(_) => 5,
+        Response::RemapDiff(_) => 6,
+        Response::Error(_) => 7,
+    }
+}
+
+const RESPONSE_KINDS: usize = 8;
 
 /// A deterministic histogram summary for the detail-stats golden: three
 /// fixed samples through the real bucketing code.
@@ -229,6 +331,44 @@ fn response_corpus() -> Vec<(&'static str, u64, Response)> {
                 ],
             }),
         ),
+        // Journal and remap kinds — appended; blocks above stay
+        // byte-stable.
+        (
+            "journal held",
+            8,
+            Response::Journal(JournalResponse {
+                id: "jr".into(),
+                key: "client-7/42".into(),
+                held: true,
+                lease: Some(12),
+                site_counts: vec![2, 0, 1],
+            }),
+        ),
+        (
+            "journal free",
+            9,
+            Response::Journal(JournalResponse {
+                id: "jr-free".into(),
+                key: "gone".into(),
+                held: false,
+                lease: None,
+                site_counts: vec![],
+            }),
+        ),
+        (
+            "remap",
+            10,
+            Response::RemapDiff(RemapDiffResponse {
+                id: "rm-full".into(),
+                mapping: vec![1, 0, 0, 2],
+                moved: vec![1],
+                old_cost: 96.5,
+                new_cost: 80.25,
+                migrations: 1,
+                lease: Some(41),
+                free_nodes: vec![3, 2, 4],
+            }),
+        ),
     ]
 }
 
@@ -355,4 +495,26 @@ fn golden_corpus_decodes_through_both_protocols() {
             response
         );
     }
+}
+
+#[test]
+fn corpus_covers_every_kind() {
+    let requests: BTreeSet<usize> = request_corpus()
+        .iter()
+        .map(|(_, _, r)| request_kind(r))
+        .collect();
+    assert_eq!(
+        requests,
+        (0..REQUEST_KINDS).collect(),
+        "a request kind has no fixture"
+    );
+    let responses: BTreeSet<usize> = response_corpus()
+        .iter()
+        .map(|(_, _, r)| response_kind(r))
+        .collect();
+    assert_eq!(
+        responses,
+        (0..RESPONSE_KINDS).collect(),
+        "a response kind has no fixture"
+    );
 }
