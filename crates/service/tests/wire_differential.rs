@@ -24,8 +24,8 @@
 use commgraph::apps::AppKind;
 use geomap_service::frame;
 use geomap_service::proto::{
-    CacheTier, CalibSpec, ErrorCode, ErrorResponse, MapRequest, MapResponse, Request, Response,
-    StatsResponse,
+    CacheTier, CalibSpec, ErrorCode, ErrorResponse, MapRequest, MapResponse, RemapRequest, Request,
+    Response, StatsResponse,
 };
 use geomap_service::wire::WireFormat;
 use geomap_service::{MappingServer, MappingService, PooledClient, ServiceClient, ServiceConfig};
@@ -524,4 +524,105 @@ fn pooled_pipelined_batch_matches_sequential_v1() {
         other => panic!("expected shutdown ack, got {other:?}"),
     }
     server.join();
+}
+
+/// Calibration specs the calibrator cannot run (it asserts on each)
+/// are `bad_request`s from both decoders, for map and remap alike,
+/// echoing the request id. Before the shared check existed, `days = 0`
+/// or `probes = 0` on either kind, and bad `loss` on a remap, reached
+/// the calibrator and panicked the daemon's reactor thread; the
+/// connection must instead keep serving.
+#[test]
+fn unrunnable_calibration_specs_are_bad_requests_on_both_wires() {
+    let server = MappingServer::bind(
+        MappingService::new(network(), ServiceConfig::default()),
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let timeout = Some(Duration::from_secs(30));
+    let mut v1 = ServiceClient::connect(&addr, timeout).expect("v1 connect");
+    let mut v2 =
+        ServiceClient::connect_with(&addr, timeout, WireFormat::V2Binary).expect("v2 connect");
+
+    let bad_specs = [
+        (
+            "days",
+            CalibSpec {
+                days: 0,
+                ..CalibSpec::default()
+            },
+        ),
+        (
+            "probes",
+            CalibSpec {
+                probes_per_day: 0,
+                ..CalibSpec::default()
+            },
+        ),
+        (
+            "loss",
+            CalibSpec {
+                loss_rate: 1.5,
+                ..CalibSpec::default()
+            },
+        ),
+        (
+            "noise",
+            CalibSpec {
+                noise_cv: -0.5,
+                ..CalibSpec::default()
+            },
+        ),
+    ];
+    let good_map = MapRequest {
+        ranks: Some(4),
+        ..MapRequest::new("after", pattern_csv(4))
+    };
+    for (field, spec) in bad_specs {
+        let requests = [
+            Request::Map(MapRequest {
+                ranks: Some(4),
+                calibration: spec.clone(),
+                ..MapRequest::new(format!("map-{field}"), pattern_csv(4))
+            }),
+            Request::Remap(RemapRequest {
+                calibration: spec,
+                ..RemapRequest::new(format!("remap-{field}"), pattern_csv(4), vec![0, 1, 2, 3])
+            }),
+        ];
+        for request in &requests {
+            for (wire, client) in [("v1", &mut v1), ("v2", &mut v2)] {
+                let what = format!("{} over {wire}", request_id(request));
+                match client
+                    .send(request)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"))
+                {
+                    Response::Error(e) => {
+                        assert_eq!(e.code, ErrorCode::BadRequest, "{what}");
+                        assert_eq!(e.id, request_id(request), "{what}");
+                        assert!(e.message.contains(field), "{what}: {}", e.message);
+                    }
+                    other => panic!("{what}: expected bad_request, got {other:?}"),
+                }
+                match client.map(good_map.clone()) {
+                    Ok(Response::Map(_)) => {}
+                    other => panic!("{what}: connection stopped serving: {other:?}"),
+                }
+            }
+        }
+    }
+    match v2.shutdown("bye").expect("shutdown") {
+        Response::Shutdown { .. } => {}
+        other => panic!("expected shutdown ack, got {other:?}"),
+    }
+    server.join();
+}
+
+fn request_id(request: &Request) -> &str {
+    match request {
+        Request::Map(m) => &m.id,
+        Request::Remap(r) => &r.id,
+        other => panic!("not a map or remap request: {other:?}"),
+    }
 }
