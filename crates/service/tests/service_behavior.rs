@@ -7,8 +7,8 @@ use geomap_core::pipeline::{self, PipelineConfig};
 use geomap_core::{ConstraintVector, GeoMapper};
 use geomap_service::proto::{CacheTier, CalibSpec, ErrorCode, Response};
 use geomap_service::{
-    ClientError, MapRequest, MappingServer, MappingService, Request, RetryPolicy, RetryingClient,
-    ServiceClient, ServiceConfig, TcpConnector,
+    ClientError, MapRequest, MappingServer, MappingService, RemapRequest, Request, RetryPolicy,
+    RetryingClient, ServiceClient, ServiceConfig, TcpConnector,
 };
 use geonet::{presets, InstanceType, SiteNetwork};
 use std::time::Duration;
@@ -548,6 +548,67 @@ fn lossy_calibration_degrades_to_last_known_good() {
         deg.mapping, warm.mapping,
         "fallback estimate is the warm one, so the placement matches"
     );
+}
+
+/// In-process callers skip the wire decoders, so `handle` itself must
+/// refuse a campaign the calibrator would assert on rather than panic.
+#[test]
+fn in_process_handle_refuses_unrunnable_calibration() {
+    let svc = service();
+    let bad_specs = [
+        (
+            "days",
+            CalibSpec {
+                days: 0,
+                ..CalibSpec::default()
+            },
+        ),
+        (
+            "loss",
+            CalibSpec {
+                loss_rate: 1.5,
+                ..CalibSpec::default()
+            },
+        ),
+    ];
+    for (field, spec) in bad_specs {
+        let (map_id, remap_id) = (format!("map-{field}"), format!("remap-{field}"));
+        let requests = [
+            (
+                &map_id,
+                Request::Map(MapRequest {
+                    calibration: spec.clone(),
+                    ..MapRequest::new(map_id.clone(), pattern_csv(16))
+                }),
+            ),
+            (
+                &remap_id,
+                Request::Remap(RemapRequest {
+                    calibration: spec,
+                    ..RemapRequest::new(
+                        remap_id.clone(),
+                        pattern_csv(16),
+                        (0..16).map(|r| r % 4).collect(),
+                    )
+                }),
+            ),
+        ];
+        for (id, request) in &requests {
+            match svc.handle(request) {
+                Response::Error(e) => {
+                    assert_eq!(e.code, ErrorCode::BadRequest, "{id}");
+                    assert_eq!(&e.id, *id);
+                    assert!(e.message.contains(field), "{id}: {}", e.message);
+                }
+                other => panic!("{id}: expected bad_request, got {other:?}"),
+            }
+        }
+    }
+    // The refusals left the service able to map.
+    match svc.handle(&Request::Map(MapRequest::new("after", pattern_csv(16)))) {
+        Response::Map(_) => {}
+        other => panic!("service stopped mapping: {other:?}"),
+    }
 }
 
 #[test]
