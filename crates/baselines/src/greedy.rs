@@ -14,9 +14,7 @@
 //! the paper) — exactly the behaviour the evaluation harness checks.
 
 use geomap_core::delta::CostTables;
-use geomap_core::{
-    CostModel, Mapper, Mapping, MappingProblem, Metrics, Trace, TraceScope, TrackId,
-};
+use geomap_core::{CostModel, Mapper, Mapping, MappingProblem, Metrics, Trace, TraceScope};
 use geonet::SiteId;
 
 /// Relative window within which two site scores count as tied.
@@ -41,12 +39,7 @@ impl Mapper for GreedyMapper {
     fn map(&self, problem: &MappingProblem) -> Mapping {
         let metrics = self.metrics.scoped(self.name());
         let trace = &self.trace;
-        let track = if trace.enabled() {
-            trace.track("search", self.name())
-        } else {
-            TrackId::DISABLED
-        };
-        let tscope = TraceScope::new(trace, track);
+        let tscope = TraceScope::new(trace, trace.track("search", self.name()));
         tscope.span_begin("packing");
         let (assignment, placements, scores_evaluated) = metrics.timed("phase.packing", || {
             let mut placements = 0u64;

@@ -7,10 +7,8 @@
 //! best-of-K mapper.
 
 use crate::random::random_mapping;
-use geomap_core::delta::{polish_stats_traced, Evaluation};
-use geomap_core::{
-    cost, CostModel, Mapper, Mapping, MappingProblem, Metrics, Trace, TraceScope, TrackId,
-};
+use geomap_core::delta::{polish, CostTables, Evaluation};
+use geomap_core::{cost, CostModel, Mapper, Mapping, MappingProblem, Metrics, Trace, TraceScope};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -129,12 +127,7 @@ impl Mapper for MonteCarlo {
         let metrics = self.metrics.scoped(self.name());
         metrics.counter("search.samples", self.samples as u64);
         let trace = &self.trace;
-        let track = if trace.enabled() {
-            trace.track("search", self.name())
-        } else {
-            TrackId::DISABLED
-        };
-        let tscope = TraceScope::new(trace, track);
+        let tscope = TraceScope::new(trace, trace.track("search", self.name()));
         tscope.span_begin("sampling");
         let best = metrics.timed("phase.sampling", || {
             (0..self.samples)
@@ -154,13 +147,13 @@ impl Mapper for MonteCarlo {
             let movable = |i: usize| constraints.pin_of(i).is_none();
             tscope.span_begin("refinement");
             let stats = metrics.timed("phase.refinement", || {
-                polish_stats_traced(
-                    problem,
+                polish(
+                    &CostTables::build(problem, CostModel::Full),
+                    self.evaluation,
                     &mut m,
                     self.polish_passes,
-                    CostModel::Full,
-                    self.evaluation,
                     &movable,
+                    &|_, _| true,
                     tscope,
                 )
             });

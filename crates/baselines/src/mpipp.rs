@@ -11,8 +11,8 @@
 //! processes.
 
 use crate::random::random_mapping;
-use geomap_core::delta::{best_improving_swap_counted, CostTables, Evaluation, SearchStats};
-use geomap_core::{cost, Mapper, Mapping, MappingProblem, Metrics, Trace, TraceScope, TrackId};
+use geomap_core::delta::{best_improving_swap, CostTables, Evaluation, SearchStats};
+use geomap_core::{cost, Mapper, Mapping, MappingProblem, Metrics, Trace, TraceScope};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,7 +90,7 @@ impl MpippMapper {
             .evaluator(tables, mapping.as_slice().to_vec());
         for _ in 0..self.max_rounds {
             scope.span_begin("pass");
-            let (swap, evaluated) = best_improving_swap_counted(eval.as_ref(), &movable, SWAP_EPS);
+            let (swap, evaluated) = best_improving_swap(eval.as_ref(), &movable, SWAP_EPS);
             stats.passes += 1;
             stats.swaps_evaluated += evaluated;
             let Some((a, b, _)) = swap else {
@@ -121,12 +121,7 @@ impl Mapper for MpippMapper {
         let tables = CostTables::build(problem, geomap_core::CostModel::Full);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let trace = &self.trace;
-        let track = if trace.enabled() {
-            trace.track("search", self.name())
-        } else {
-            TrackId::DISABLED
-        };
-        let tscope = TraceScope::new(trace, track);
+        let tscope = TraceScope::new(trace, trace.track("search", self.name()));
         let (best, total) = metrics.timed("phase.refinement", || {
             let mut best: Option<(Mapping, f64)> = None;
             let mut total = SearchStats::default();

@@ -6,8 +6,7 @@
 use commgraph::apps::AppKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geomap_core::{
-    cost, cost::swap_delta, polish_with_tables, polish_with_tables_stats, CostTables, Evaluation,
-    Mapping, MappingProblem, Metrics,
+    cost, cost::swap_delta, polish, CostTables, Evaluation, Mapping, MappingProblem, TraceScope,
 };
 use geonet::{presets, InstanceType, SiteId};
 use simnet::{bottleneck_time, sum_cost};
@@ -81,13 +80,14 @@ fn bench_refine_pass(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter(|| {
                     let mut mapping = m.clone();
-                    black_box(polish_with_tables(
+                    black_box(polish(
                         &tables,
                         evaluation,
                         &mut mapping,
                         1,
                         &|_| true,
                         &|_, _| true,
+                        TraceScope::off(),
                     ))
                 })
             });
@@ -96,76 +96,5 @@ fn bench_refine_pass(c: &mut Criterion) {
     group.finish();
 }
 
-/// Guard: the observability layer must be zero-cost when disabled.
-/// `polish_with_tables_stats` + `SearchStats::emit` on a `Metrics::off()`
-/// handle runs the same inner-loop instructions as the plain entry point
-/// (the contract is <1% overhead — counters live in plain integers and
-/// the disabled handle never reads the clock). The assertion uses a
-/// deliberately loose 15% band so scheduler noise cannot flake CI; the
-/// criterion rows print the tight numbers for human inspection.
-fn bench_null_sink_overhead(c: &mut Criterion) {
-    let (p, m) = problem(256);
-    let tables = CostTables::build(&p, geomap_core::CostModel::Full);
-    let plain = || {
-        let mut mapping = m.clone();
-        black_box(polish_with_tables(
-            &tables,
-            Evaluation::Incremental,
-            &mut mapping,
-            1,
-            &|_| true,
-            &|_, _| true,
-        ))
-    };
-    let instrumented = || {
-        let mut mapping = m.clone();
-        let stats = polish_with_tables_stats(
-            &tables,
-            Evaluation::Incremental,
-            &mut mapping,
-            1,
-            &|_| true,
-            &|_, _| true,
-        );
-        stats.emit(&Metrics::off());
-        black_box(stats.swaps_accepted as usize)
-    };
-
-    let mut group = c.benchmark_group("refine_pass_metrics_off");
-    group.bench_function("plain", |b| b.iter(plain));
-    group.bench_function("null_sink", |b| b.iter(instrumented));
-    group.finish();
-
-    // Best-of-trials wall-clock guard, independent of the criterion shim.
-    let best_of = |f: &dyn Fn() -> usize| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = std::time::Instant::now();
-            for _ in 0..10 {
-                black_box(f());
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    plain(); // warm up caches once before timing either variant
-    let t_plain = best_of(&plain);
-    let t_instr = best_of(&instrumented);
-    assert!(
-        t_instr <= t_plain * 1.15,
-        "disabled metrics slowed refine_pass: {t_instr:.6}s vs {t_plain:.6}s"
-    );
-    println!(
-        "null-sink overhead: {:+.2}% (plain {t_plain:.6}s, instrumented {t_instr:.6}s)",
-        (t_instr / t_plain - 1.0) * 100.0
-    );
-}
-
-criterion_group!(
-    benches,
-    bench_cost,
-    bench_delta_engines,
-    bench_refine_pass,
-    bench_null_sink_overhead
-);
+criterion_group!(benches, bench_cost, bench_delta_engines, bench_refine_pass);
 criterion_main!(benches);

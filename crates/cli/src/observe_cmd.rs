@@ -18,6 +18,7 @@
 
 use crate::args::Args;
 use crate::files;
+use geomap_core::metrics::escape_json;
 use geomap_core::{RingBufferSink, Trace};
 use geomap_service::federation::merge_stats;
 use geomap_service::hist::{bucket_bound, HistKind};
@@ -476,9 +477,12 @@ fn merge_chrome_json(rings: &[CollectedRing]) -> String {
     out
 }
 
-/// Minimal JSON string escaping for track/event names.
+/// Track and event names arrive from daemons over the wire, so they
+/// go through the full JSON escaper (control characters included).
 fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut out = String::with_capacity(s.len());
+    escape_json(s, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -602,5 +606,56 @@ mod tests {
         );
         assert!(prom.contains("geomap_queue_depth_max"), "{prom}");
         assert!(prom.contains("geomap_stats_shards 3"), "{prom}");
+    }
+
+    /// Names in a trace dump are wire input: a daemon may report any
+    /// string, control characters included, and the merged timeline
+    /// must still be valid JSON line by line.
+    #[test]
+    fn merge_escapes_control_characters_in_wire_names() {
+        use geomap_service::json::Json;
+        use geomap_service::proto::WireTrack;
+        let nasty = "a\"b\\c\nd\u{1}e\tf";
+        let event = |kind: u8| WireTraceEvent {
+            track: 1,
+            name: nasty.into(),
+            kind,
+            ts_s: 0.5,
+            value: 2.0,
+        };
+        let ring = CollectedRing {
+            label: format!("shard\n{nasty}"),
+            dump: TraceDumpResponse {
+                tracks: vec![WireTrack {
+                    track: 1,
+                    process: nasty.into(),
+                    name: nasty.into(),
+                }],
+                events: vec![
+                    event(WireTraceEvent::SPAN_BEGIN),
+                    event(WireTraceEvent::SPAN_END),
+                    event(WireTraceEvent::INSTANT),
+                    event(WireTraceEvent::COUNTER),
+                ],
+                ..TraceDumpResponse::default()
+            },
+            offset_s: 0.0,
+        };
+        let json = merge_chrome_json(&[ring]);
+        let mut objects = 0;
+        for line in json.lines() {
+            let line = line.trim_end_matches(',');
+            if line == "[" || line == "]" {
+                continue;
+            }
+            let parsed = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line:?}"));
+            let name = parsed.get("name").and_then(Json::as_str).unwrap();
+            if !matches!(name, "process_name" | "thread_name") {
+                assert_eq!(name, nasty);
+            }
+            objects += 1;
+        }
+        assert_eq!(objects, 6);
+        assert!(Json::parse(&json).is_ok());
     }
 }

@@ -24,17 +24,19 @@
 //! is set.
 
 use crate::cost::CostModel;
-use crate::delta::{polish_with_tables_traced, CostTables, Evaluation, SearchStats};
+use crate::delta::{polish, CostTables, Evaluation, SearchStats};
 use crate::grouping::group_sites;
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
 use crate::problem::MappingProblem;
-use crate::trace::{Trace, TraceScope, TrackId};
+use crate::trace::{Trace, TraceScope};
 use crate::Mapper;
 use geonet::SiteId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// How many group orders Algorithm 1 examines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,7 +286,7 @@ impl GeoMapper {
 
 /// How many of the cheapest orders the hill-climb polishes (κ = 4 ⇒
 /// all 24; larger κ keeps refinement bounded).
-pub(crate) const REFINE_TOP: usize = 24;
+const REFINE_TOP: usize = 24;
 
 /// Lazy max-heap over non-negative affinities with lowest-index
 /// tie-breaking (the same pick the paper's linear argmax makes, in
@@ -372,14 +374,38 @@ impl Mapper for GeoMapper {
     }
 
     fn map(&self, problem: &MappingProblem) -> Mapping {
-        let metrics = self.metrics.scoped(self.name());
+        let constraints = problem.constraints();
+        self.search_orders(
+            self.name(),
+            problem,
+            |groups, order, by_quantity| self.map_order(problem, groups, order, by_quantity),
+            |i| constraints.pin_of(i).is_none(),
+            |_, _| true,
+        )
+    }
+}
+
+impl GeoMapper {
+    /// The order search both Geo mappers share: group the sites, rank
+    /// every order's packing by Eq. 3 cost, polish the [`REFINE_TOP`]
+    /// cheapest with the swap hill-climb and keep the cheapest by
+    /// (cost, order index).
+    ///
+    /// `pack(groups, order, by_quantity)` is the mapper's Algorithm 1
+    /// packing of one order; `movable` and `permits` gate the polish
+    /// swaps. Phase timings, search counters and trace spans go under
+    /// `name`.
+    pub(crate) fn search_orders(
+        &self,
+        name: &str,
+        problem: &MappingProblem,
+        pack: impl Fn(&[Vec<SiteId>], &[usize], &[usize]) -> Mapping + Sync,
+        movable: impl Fn(usize) -> bool + Sync,
+        permits: impl Fn(usize, SiteId) -> bool + Sync,
+    ) -> Mapping {
+        let metrics = self.metrics.scoped(name);
         let trace = &self.trace;
-        let mapper_track = if trace.enabled() {
-            trace.track("search", self.name())
-        } else {
-            TrackId::DISABLED
-        };
-        let tscope = TraceScope::new(trace, mapper_track);
+        let tscope = TraceScope::new(trace, trace.track("search", name));
         tscope.span_begin("grouping");
         let groups = metrics.timed("phase.grouping", || {
             group_sites(problem.network(), self.kappa, self.seed)
@@ -405,50 +431,31 @@ impl Mapper for GeoMapper {
         debug_assert_eq!(quantities.len(), pattern.n());
         by_quantity.sort_by(|&a, &b| quantities[b].total_cmp(&quantities[a]).then(a.cmp(&b)));
 
-        let constraints = problem.constraints();
         // One flat table build serves the whole order search: ranking all
         // κ! candidate packings and every refinement sweep below.
         let tables = CostTables::build(problem, self.cost_model);
         // Packing time is accumulated across worker threads (CPU seconds,
         // not wall) and only when metrics are on — the disabled path
         // never reads the clock.
-        let packing_nanos = std::sync::atomic::AtomicU64::new(0);
-        let evaluate = |order: &Vec<usize>| {
+        let packing_nanos = AtomicU64::new(0);
+        let evaluate = |(idx, order): (usize, &Vec<usize>)| {
             let m = if metrics.enabled() {
-                let t0 = std::time::Instant::now();
-                let m = self.map_order(problem, &groups, order, &by_quantity);
-                packing_nanos.fetch_add(
-                    t0.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
+                let t0 = Instant::now();
+                let m = pack(&groups, order, &by_quantity);
+                packing_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 m
             } else {
-                self.map_order(problem, &groups, order, &by_quantity)
+                pack(&groups, order, &by_quantity)
             };
-            let c = tables.total(m.as_slice());
-            (c, m)
+            (idx, tables.total(m.as_slice()), m)
         };
 
-        let search_t0 = metrics.enabled().then(std::time::Instant::now);
+        let search_t0 = metrics.enabled().then(Instant::now);
         tscope.span_begin("order_search");
         let mut ranked: Vec<(usize, f64, Mapping)> = if self.parallel {
-            orders
-                .par_iter()
-                .enumerate()
-                .map(|(idx, o)| {
-                    let (c, m) = evaluate(o);
-                    (idx, c, m)
-                })
-                .collect()
+            orders.par_iter().enumerate().map(evaluate).collect()
         } else {
-            orders
-                .iter()
-                .enumerate()
-                .map(|(idx, o)| {
-                    let (c, m) = evaluate(o);
-                    (idx, c, m)
-                })
-                .collect()
+            orders.iter().enumerate().map(evaluate).collect()
         };
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         tscope.span_end("order_search");
@@ -456,7 +463,7 @@ impl Mapper for GeoMapper {
             metrics.timing("phase.order_search", t0.elapsed().as_secs_f64());
             metrics.timing(
                 "phase.packing",
-                packing_nanos.load(std::sync::atomic::Ordering::Relaxed) as f64 * 1e-9,
+                packing_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
             );
         }
 
@@ -466,40 +473,39 @@ impl Mapper for GeoMapper {
         // Polish only the few cheapest orders: the hill-climb gets a
         // handful of good multi-start seeds at a fraction of the cost of
         // refining all κ! packings.
-        let movable = |i: usize| constraints.pin_of(i).is_none();
-        let polish = |(idx, _, mut m): (usize, f64, Mapping)| {
+        let polish_one = |(idx, _, mut m): (usize, f64, Mapping)| {
             // One trace track per polished order: the polishes run under
             // rayon, and interleaved spans on a shared track would break
             // Chrome's begin/end pairing.
             let scope = if trace.enabled() {
                 TraceScope::new(
                     trace,
-                    trace.track("search", &format!("{} refine[{idx}]", self.name())),
+                    trace.track("search", &format!("{name} refine[{idx}]")),
                 )
             } else {
                 TraceScope::off()
             };
-            let stats = polish_with_tables_traced(
+            let stats = polish(
                 &tables,
                 self.evaluation,
                 &mut m,
                 50,
                 &movable,
-                &|_, _| true,
+                &permits,
                 scope,
             );
             (idx, tables.total(m.as_slice()), m, stats)
         };
-        let refine_t0 = metrics.enabled().then(std::time::Instant::now);
+        let refine_t0 = metrics.enabled().then(Instant::now);
         tscope.span_begin("refinement");
         let top = ranked.into_iter().take(REFINE_TOP);
         let polished: Vec<(usize, f64, Mapping, SearchStats)> = if self.parallel {
             top.collect::<Vec<_>>()
                 .into_par_iter()
-                .map(polish)
+                .map(polish_one)
                 .collect()
         } else {
-            top.map(polish).collect()
+            top.map(polish_one).collect()
         };
         tscope.span_end("refinement");
         if metrics.enabled() {

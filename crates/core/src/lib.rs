@@ -50,9 +50,7 @@ pub mod trace;
 pub use constraint::ConstraintVector;
 pub use cost::{cost, cost_with_model, model_components, pair_cost, CostModel};
 pub use delta::{
-    best_improving_swap, best_improving_swap_counted, polish, polish_stats, polish_stats_traced,
-    polish_with_tables, polish_with_tables_stats, polish_with_tables_traced, sweep_hill_climb,
-    sweep_hill_climb_stats, sweep_hill_climb_traced, CostEval, CostEvaluator, CostTables,
+    best_improving_swap, polish, sweep_hill_climb, CostEval, CostEvaluator, CostTables,
     CostTablesError, Evaluation, FullRecomputeEval, SearchStats,
 };
 pub use geo::{GeoMapper, OrderSearch, Seeding};

@@ -187,9 +187,12 @@ impl fmt::Debug for JsonLinesSink {
     }
 }
 
-/// Minimal JSON string escaping: quotes, backslashes and control bytes.
-/// Shared with the trace exporter (`crate::trace`).
-pub(crate) fn escape_json(s: &str, out: &mut String) {
+/// JSON string escaping: appends `s` to `out` with quotes, backslashes
+/// and every control character escaped, so the result is always a valid
+/// JSON string body. The one escaper behind every JSON this workspace
+/// writes: metrics lines, trace exports, the service's v1 wire JSON and
+/// `geomap observe`'s merged timeline.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -40,7 +40,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::constraint::ConstraintVector;
 use crate::cost::{pair_cost, CostModel};
-use crate::delta::{best_improving_swap_counted, sweep_hill_climb_traced, CostTables, Evaluation};
+use crate::delta::{best_improving_swap, sweep_hill_climb, CostTables, Evaluation};
 use crate::geo::GeoMapper;
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
@@ -633,7 +633,7 @@ fn refine_level(
                 let mut steps = class.len() * 2;
                 while steps > 0 {
                     let (best, _) =
-                        best_improving_swap_counted(eval.as_ref(), class, IMPROVEMENT_THRESHOLD);
+                        best_improving_swap(eval.as_ref(), class, IMPROVEMENT_THRESHOLD);
                     match best {
                         Some((a, b, _)) => {
                             eval.apply_swap(a, b);
@@ -646,8 +646,7 @@ fn refine_level(
                 }
             } else {
                 let movable = |i: usize| pins[i].is_none() && weights[i] == w;
-                let stats =
-                    sweep_hill_climb_traced(eval.as_mut(), 1, &movable, &|_, _| true, scope);
+                let stats = sweep_hill_climb(eval.as_mut(), 1, &movable, &|_, _| true, scope);
                 if stats.swaps_accepted > 0 {
                     improved = true;
                 }

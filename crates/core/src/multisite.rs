@@ -15,15 +15,12 @@
 //! and falls back to augmenting paths when a greedy placement would
 //! strand a process.
 
-use crate::delta::{polish_with_tables_traced, CostTables, SearchStats};
 use crate::geo::{GeoMapper, Seeding};
-use crate::grouping::group_sites;
 use crate::mapping::Mapping;
 use crate::problem::MappingProblem;
 use geonet::SiteId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 
 /// Per-process allowed-site sets. `None` means "anywhere".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,104 +248,18 @@ impl GeoMapperMulti {
             "infeasible multi-site constraint instance"
         );
 
-        // Observability mirrors GeoMapper::map, under its own scope so a
-        // pipeline running both stays distinguishable.
-        let metrics = self.base.metrics.scoped("Geo-multi");
-        let groups = metrics.timed("phase.grouping", || {
-            group_sites(problem.network(), self.base.kappa, self.base.seed)
-        });
-        let orders = crate::geo::permutations(groups.len());
-        metrics.counter("search.groups", groups.len() as u64);
-        metrics.counter("search.orders_evaluated", orders.len() as u64);
-        let quantities: Vec<f64> = problem
-            .partners()
-            .iter()
-            .map(|ps| ps.iter().map(|p| problem.edge_weight(p)).sum::<f64>())
-            .collect();
-        let mut by_quantity: Vec<usize> = (0..n).collect();
-        by_quantity.sort_by(|&a, &b| quantities[b].total_cmp(&quantities[a]).then(a.cmp(&b)));
-
-        // Mirror GeoMapper::map exactly: rank all orders unrefined, then
-        // polish the cheapest few (the order search doubles as a
-        // multi-start for the hill-climb).
-        let tables = CostTables::build(problem, self.base.cost_model);
-        let evaluate = |idx: usize, order: &Vec<usize>| {
-            let m = self.map_order(problem, &allowed, &groups, order, &by_quantity);
-            let c = tables.total(m.as_slice());
-            (idx, c, m)
-        };
-        let search_t0 = metrics.enabled().then(std::time::Instant::now);
-        let mut ranked: Vec<(usize, f64, Mapping)> = if self.base.parallel {
-            orders
-                .par_iter()
-                .enumerate()
-                .map(|(i, o)| evaluate(i, o))
-                .collect()
-        } else {
-            orders
-                .iter()
-                .enumerate()
-                .map(|(i, o)| evaluate(i, o))
-                .collect()
-        };
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        if let Some(t0) = search_t0 {
-            metrics.timing("phase.order_search", t0.elapsed().as_secs_f64());
-        }
-        if !self.base.refine {
-            return ranked.into_iter().next().expect("at least one order").2;
-        }
-        let trace = &self.base.trace;
-        let polish = |(idx, _, mut m): (usize, f64, Mapping)| {
-            let permits = |i: usize, s: SiteId| allowed.permits(i, s);
-            // One track per polished order, as in GeoMapper::map.
-            let scope = if trace.enabled() {
-                crate::trace::TraceScope::new(
-                    trace,
-                    trace.track("search", &format!("Geo-multi refine[{idx}]")),
-                )
-            } else {
-                crate::trace::TraceScope::off()
-            };
-            let stats = polish_with_tables_traced(
-                &tables,
-                self.base.evaluation,
-                &mut m,
-                50,
-                &|_| true,
-                &permits,
-                scope,
-            );
-            (idx, tables.total(m.as_slice()), m, stats)
-        };
-        let refine_t0 = metrics.enabled().then(std::time::Instant::now);
-        let top = ranked.into_iter().take(crate::geo::REFINE_TOP);
-        let polished: Vec<(usize, f64, Mapping, SearchStats)> = if self.base.parallel {
-            top.collect::<Vec<_>>()
-                .into_par_iter()
-                .map(polish)
-                .collect()
-        } else {
-            top.map(polish).collect()
-        };
-        if metrics.enabled() {
-            if let Some(t0) = refine_t0 {
-                metrics.timing("phase.refinement", t0.elapsed().as_secs_f64());
-            }
-            let mut total = SearchStats {
-                restarts: polished.len() as u64,
-                ..SearchStats::default()
-            };
-            for (_, _, _, s) in &polished {
-                total.absorb(*s);
-            }
-            total.emit(&metrics);
-        }
-        polished
-            .into_iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .expect("at least one order")
-            .2
+        // The shared order search under its own scope, so a pipeline
+        // running both Geo mappers stays distinguishable. Pins are
+        // singleton allowed sets, so `permits` alone gates the polish.
+        self.base.search_orders(
+            "Geo-multi",
+            problem,
+            |groups, order, by_quantity| {
+                self.map_order(problem, &allowed, groups, order, by_quantity)
+            },
+            |_| true,
+            |i, s| allowed.permits(i, s),
+        )
     }
 
     fn map_order(
@@ -486,11 +397,82 @@ mod tests {
 
     #[test]
     fn unrestricted_behaves_like_geo() {
+        use crate::geo::OrderSearch;
         let p = problem(16, 4, 1);
-        let multi = GeoMapperMulti::new(AllowedSites::unrestricted(16)).map(&p);
-        let plain = GeoMapper::default().map(&p);
-        // Same algorithm, same config: identical mapping.
-        assert_eq!(multi, plain);
+        for order_search in [
+            OrderSearch::Exhaustive,
+            OrderSearch::FirstOnly,
+            OrderSearch::Random { samples: 3 },
+        ] {
+            let base = GeoMapper {
+                order_search,
+                ..GeoMapper::default()
+            };
+            let multi = GeoMapperMulti {
+                base: base.clone(),
+                allowed: AllowedSites::unrestricted(16),
+            }
+            .map(&p);
+            // Same algorithm, same config: identical mapping.
+            assert_eq!(multi, base.map(&p), "{order_search:?}");
+        }
+    }
+
+    #[test]
+    fn reports_the_same_layers_as_geo() {
+        use crate::metrics::{MemorySink, Metrics};
+        use crate::trace::{RingBufferSink, Trace, TraceEventKind};
+        use std::collections::BTreeSet;
+        use std::sync::Arc;
+
+        let p = problem(16, 4, 7);
+        let names = |scope: &str, sink: &MemorySink| -> BTreeSet<String> {
+            sink.snapshot()
+                .into_iter()
+                .filter(|r| r.scope == scope)
+                .map(|r| r.name)
+                .collect()
+        };
+        let geo_sink = Arc::new(MemorySink::new());
+        GeoMapper {
+            metrics: Metrics::new(geo_sink.clone()),
+            ..GeoMapper::default()
+        }
+        .map(&p);
+        let sink = Arc::new(MemorySink::new());
+        let ring = Arc::new(RingBufferSink::new(1 << 16));
+        let mut multi = GeoMapperMulti::new(AllowedSites::unrestricted(16));
+        multi.base.metrics = Metrics::new(sink.clone());
+        multi.base.trace = Trace::new(ring.clone());
+        multi.map(&p);
+
+        let reported = names("Geo-multi", &sink);
+        for phase in [
+            "phase.grouping",
+            "phase.order_search",
+            "phase.packing",
+            "phase.refinement",
+        ] {
+            assert!(reported.contains(phase), "missing {phase}: {reported:?}");
+        }
+        assert_eq!(reported, names("Geo-distributed", &geo_sink));
+
+        let track = ring
+            .tracks()
+            .into_iter()
+            .find(|t| t.process == "search" && t.name == "Geo-multi")
+            .expect("a search/Geo-multi track")
+            .id;
+        let spans: BTreeSet<&str> = ring
+            .snapshot()
+            .iter()
+            .filter(|e| e.track == track && e.kind == TraceEventKind::SpanBegin)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(
+            spans,
+            BTreeSet::from(["grouping", "order_search", "refinement"])
+        );
     }
 
     #[test]

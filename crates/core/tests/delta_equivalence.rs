@@ -361,7 +361,13 @@ fn incremental_engine_saves_10x_terms_at_n1024() {
     let counted_pass = |evaluation: Evaluation| -> (u64, Vec<geonet::SiteId>) {
         let mut eval = evaluation.evaluator(&tables, sites.clone());
         let before = eval.terms();
-        geomap_core::sweep_hill_climb(eval.as_mut(), 1, &|_| true, &|_, _| true);
+        geomap_core::sweep_hill_climb(
+            eval.as_mut(),
+            1,
+            &|_| true,
+            &|_, _| true,
+            geomap_core::TraceScope::off(),
+        );
         (eval.terms() - before, eval.sites().to_vec())
     };
 

@@ -10,6 +10,7 @@
 //! (numbers must be finite, strings must close, trailing garbage is an
 //! error).
 
+use geomap_core::metrics::escape_json;
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects preserve insertion order so emitted
@@ -159,25 +160,6 @@ impl Json {
             return Err(format!("trailing garbage at byte {}", p.pos));
         }
         Ok(v)
-    }
-}
-
-/// JSON string escaping shared by the emitter (same rules as
-/// `geomap_core::metrics::escape_json`, duplicated because that helper
-/// is crate-private).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 
