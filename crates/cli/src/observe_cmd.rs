@@ -650,8 +650,13 @@ mod tests {
             }
             let parsed = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line:?}"));
             let name = parsed.get("name").and_then(Json::as_str).unwrap();
-            if !matches!(name, "process_name" | "thread_name") {
-                assert_eq!(name, nasty);
+            let arg = parsed.get("args").and_then(|a| a.get("name"));
+            match name {
+                "process_name" => {
+                    assert_eq!(arg, Some(&Json::Str(format!("shard\n{nasty}/{nasty}"))))
+                }
+                "thread_name" => assert_eq!(arg, Some(&Json::Str(nasty.into()))),
+                _ => assert_eq!(name, nasty),
             }
             objects += 1;
         }
