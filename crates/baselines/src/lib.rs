@@ -29,7 +29,76 @@ pub use monte_carlo::MonteCarlo;
 pub use mpipp::MpippMapper;
 pub use random::{random_mapping, RandomMapper};
 
-use geomap_core::{Mapper, MappingProblem, Metrics, Trace};
+use geomap_core::{
+    GeoMapper, Mapper, MappingProblem, Metrics, MultilevelConfig, MultilevelMapper, Trace,
+};
+
+/// Every algorithm name [`mapper_by_name`] builds, in the order its
+/// refusal lists them.
+pub const ALGORITHMS: [&str; 6] = [
+    "geo",
+    "greedy",
+    "mpipp",
+    "random",
+    "montecarlo",
+    "multilevel",
+];
+
+/// The knobs [`mapper_by_name`] builds a mapper with; each algorithm
+/// reads the ones it has and ignores the rest.
+#[derive(Debug, Clone)]
+pub struct MapperSpec {
+    /// Seed of the randomized mappers (and of Geo's order sampling).
+    pub seed: u64,
+    /// Geo's κ, also used by the multilevel mapper's coarse Geo solve.
+    pub kappa: usize,
+    /// Monte Carlo's sample count.
+    pub samples: usize,
+    /// The multilevel mapper's coarsening and refinement knobs.
+    pub multilevel: MultilevelConfig,
+    /// Trace handle wired into every mapper that records search spans.
+    pub trace: Trace,
+}
+
+/// The refusal for a name outside [`ALGORITHMS`].
+pub fn unknown_algorithm(name: &str) -> String {
+    format!("unknown algorithm {name:?} ({})", ALGORITHMS.join("|"))
+}
+
+/// Build the mapper an algorithm name stands for — the one table the
+/// CLI and the mapping service both construct mappers from, so the same
+/// name and knobs give the same mapping whichever front-end asked.
+pub fn mapper_by_name(name: &str, spec: &MapperSpec) -> Result<Box<dyn Mapper>, String> {
+    let geo = || GeoMapper {
+        seed: spec.seed,
+        kappa: spec.kappa,
+        trace: spec.trace.clone(),
+        ..GeoMapper::default()
+    };
+    Ok(match name {
+        "geo" => Box::new(geo()),
+        "greedy" => Box::new(GreedyMapper {
+            trace: spec.trace.clone(),
+            ..GreedyMapper::default()
+        }),
+        "mpipp" => Box::new(MpippMapper {
+            trace: spec.trace.clone(),
+            ..MpippMapper::with_seed(spec.seed)
+        }),
+        "random" => Box::new(RandomMapper::with_seed(spec.seed)),
+        "montecarlo" => Box::new(MonteCarlo {
+            trace: spec.trace.clone(),
+            ..MonteCarlo::new(spec.samples, spec.seed)
+        }),
+        "multilevel" => Box::new(MultilevelMapper {
+            config: spec.multilevel,
+            inner: geo(),
+            trace: spec.trace.clone(),
+            ..MultilevelMapper::default()
+        }),
+        other => return Err(unknown_algorithm(other)),
+    })
+}
 
 /// The paper's three comparison mappers plus the proposed one, in figure
 /// order: Greedy, MPIPP, Geo-distributed.
@@ -63,11 +132,11 @@ pub fn paper_mappers_instrumented(
             trace: trace.clone(),
             ..MpippMapper::with_seed(seed)
         }),
-        Box::new(geomap_core::GeoMapper {
+        Box::new(GeoMapper {
             seed,
             metrics: metrics.clone(),
             trace: trace.clone(),
-            ..geomap_core::GeoMapper::default()
+            ..GeoMapper::default()
         }),
     ]
 }

@@ -9,6 +9,7 @@
 
 use commgraph::apps::AppKind;
 use criterion::{criterion_group, criterion_main, Criterion};
+use geomap_bench::util::off_path_guard;
 use geomap_core::{
     polish, CostModel, CostTables, Evaluation, Mapping, MappingProblem, Metrics, TraceScope,
 };
@@ -53,35 +54,7 @@ fn bench_null_sink_overhead(c: &mut Criterion) {
     group.finish();
 
     // Best-of-trials wall-clock guard, independent of the criterion shim.
-    // The trials interleave the two variants, alternating which runs
-    // first, so a slow stretch of a shared host lands on both alike
-    // instead of on whichever variant happened to be timed during it.
-    let time = |f: &dyn Fn() -> usize| -> f64 {
-        let t0 = std::time::Instant::now();
-        for _ in 0..10 {
-            black_box(f());
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    plain(); // warm up caches once before timing either variant
-    let (mut t_plain, mut t_instr) = (f64::INFINITY, f64::INFINITY);
-    for trial in 0..5 {
-        if trial % 2 == 0 {
-            t_plain = t_plain.min(time(&plain));
-            t_instr = t_instr.min(time(&instrumented));
-        } else {
-            t_instr = t_instr.min(time(&instrumented));
-            t_plain = t_plain.min(time(&plain));
-        }
-    }
-    assert!(
-        t_instr <= t_plain * 1.15,
-        "disabled metrics slowed refine_pass: {t_instr:.6}s vs {t_plain:.6}s"
-    );
-    println!(
-        "null-sink overhead: {:+.2}% (plain {t_plain:.6}s, instrumented {t_instr:.6}s)",
-        (t_instr / t_plain - 1.0) * 100.0
-    );
+    off_path_guard("null-sink refine_pass", 15, 10, plain, instrumented);
 }
 
 criterion_group!(benches, bench_null_sink_overhead);

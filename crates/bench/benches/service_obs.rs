@@ -12,6 +12,7 @@
 
 use commgraph::apps::AppKind;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use geomap_bench::util::off_path_guard;
 use geomap_service::proto::Response;
 use geomap_service::{MapRequest, MappingService, Request, ServiceConfig};
 use geonet::{presets, InstanceType};
@@ -67,28 +68,12 @@ fn bench_obs_off_overhead(c: &mut Criterion) {
     // Best-of-trials wall-clock guard, independent of the criterion
     // shim: observability enabled (but trace off) must stay within the
     // noise margin of the stripped service.
-    let best_of = |svc: &MappingService| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = std::time::Instant::now();
-            for _ in 0..200 {
-                hit(svc);
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    hit(&baseline); // warm both paths once before timing
-    hit(&observed);
-    let t_off = best_of(&baseline);
-    let t_on = best_of(&observed);
-    assert!(
-        t_on <= t_off * 1.15,
-        "observability slowed the hit path: {t_on:.6}s vs {t_off:.6}s"
-    );
-    println!(
-        "obs-on overhead: {:+.2}% (hists-off {t_off:.6}s, hists-on {t_on:.6}s)",
-        (t_on / t_off - 1.0) * 100.0
+    off_path_guard(
+        "hists-on hit path",
+        30,
+        2000,
+        || hit(&baseline),
+        || hit(&observed),
     );
 }
 

@@ -4,6 +4,7 @@
 
 use commgraph::apps::AppKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use geomap_bench::util::off_path_guard;
 use geomap_core::Trace;
 use geonet::{presets, CalibrationConfig, Calibrator, InstanceType, SiteId};
 use mpirt::RunConfig;
@@ -67,28 +68,7 @@ fn bench_trace_off_overhead(c: &mut Criterion) {
     group.finish();
 
     // Best-of-trials wall-clock guard, independent of the criterion shim.
-    let best_of = |f: &dyn Fn() -> f64| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = std::time::Instant::now();
-            for _ in 0..10 {
-                black_box(f());
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    plain(); // warm up caches once before timing either variant
-    let t_plain = best_of(&plain);
-    let t_off = best_of(&traced_off);
-    assert!(
-        t_off <= t_plain * 1.15,
-        "disabled tracing slowed the replay: {t_off:.6}s vs {t_plain:.6}s"
-    );
-    println!(
-        "trace-off overhead: {:+.2}% (plain {t_plain:.6}s, traced-off {t_off:.6}s)",
-        (t_off / t_plain - 1.0) * 100.0
-    );
+    off_path_guard("trace-off replay", 15, 20, plain, traced_off);
 }
 
 criterion_group! {

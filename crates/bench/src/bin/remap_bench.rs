@@ -19,7 +19,7 @@
 //! 2. **bounded repair** — `repair()` from the stale mapping at a
 //!    sweep of migration budgets (5%, 10%, 25%, 50% of ranks), each
 //!    timed end-to-end including its `CostTables` build, exactly what
-//!    `handle_remap` pays;
+//!    the daemon's remap handler pays;
 //! 3. **oracle parity** — the unbounded repair against `cold_resolve`,
 //!    required bit-identical (same mapping, same cost bits).
 //!

@@ -148,9 +148,67 @@ pub fn std_error(v: &[f64]) -> f64 {
     (var / v.len() as f64).sqrt()
 }
 
+/// The band every off-path overhead guard asserts: the variant that
+/// carries a disabled observability layer may take at most this
+/// multiple of the plain variant's time.
+pub const OFF_PATH_BAND: f64 = 1.15;
+
+/// Best-of-`trials` wall-clock guard for an off-path contract. Each
+/// trial times `reps` calls of `plain` and `reps` calls of `variant`
+/// back to back, alternating which runs first, so a slow stretch of a
+/// shared host lands on both alike instead of on whichever was being
+/// timed during it. Panics when the variant's best time exceeds
+/// [`OFF_PATH_BAND`] times the plain best; otherwise prints both and
+/// returns them as `(plain, variant)` seconds.
+pub fn off_path_guard<A, B>(
+    what: &str,
+    trials: usize,
+    reps: usize,
+    plain: impl Fn() -> A,
+    variant: impl Fn() -> B,
+) -> (f64, f64) {
+    fn time<T>(reps: usize, f: &impl Fn() -> T) -> f64 {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(f());
+        }
+        t0.elapsed().as_secs_f64()
+    }
+    // Warm caches (and any lazily built state) before timing either.
+    std::hint::black_box(plain());
+    std::hint::black_box(variant());
+    let (mut t_plain, mut t_variant) = (f64::INFINITY, f64::INFINITY);
+    for trial in 0..trials {
+        if trial % 2 == 0 {
+            t_plain = t_plain.min(time(reps, &plain));
+            t_variant = t_variant.min(time(reps, &variant));
+        } else {
+            t_variant = t_variant.min(time(reps, &variant));
+            t_plain = t_plain.min(time(reps, &plain));
+        }
+    }
+    assert!(
+        t_variant <= t_plain * OFF_PATH_BAND,
+        "{what}: {t_variant:.6}s vs {t_plain:.6}s plain, past the {OFF_PATH_BAND}x band"
+    );
+    println!(
+        "{what} overhead: {:+.2}% (plain {t_plain:.6}s, variant {t_variant:.6}s; best of {trials} x {reps})",
+        (t_variant / t_plain - 1.0) * 100.0
+    );
+    (t_plain, t_variant)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "band")]
+    fn off_path_guard_fails_a_variant_past_the_band() {
+        let plain = || ();
+        let slow = || std::thread::sleep(Duration::from_millis(2));
+        off_path_guard("slow variant", 2, 3, plain, slow);
+    }
 
     #[test]
     fn improvement_math() {

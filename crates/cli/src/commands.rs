@@ -4,13 +4,10 @@
 
 use crate::args::Args;
 use crate::files;
-use baselines::{GreedyMapper, MonteCarlo, MpippMapper, RandomMapper};
+use baselines::{mapper_by_name, MapperSpec};
 use commgraph::apps::AppKind;
 use commgraph::CommPattern;
-use geomap_core::{
-    cost, ConstraintVector, GeoMapper, Mapper, MappingProblem, MultilevelConfig, MultilevelMapper,
-    Trace,
-};
+use geomap_core::{cost, ConstraintVector, Mapper, MappingProblem, MultilevelConfig, Trace};
 use geonet::presets::MultiCloud;
 use geonet::{io as netio, CalibrationConfig, Calibrator, InstanceType, SiteNetwork};
 
@@ -148,51 +145,19 @@ fn load_problem(args: &Args) -> Result<MappingProblem, String> {
 /// Construct the `--algorithm` mapper with `trace` wired into it
 /// (pass [`Trace::off`] for an untraced run).
 fn mapper_from(args: &Args, seed: u64, trace: &Trace) -> Result<Box<dyn Mapper>, String> {
-    let algorithm = args.optional("algorithm").unwrap_or("geo");
-    Ok(match algorithm {
-        "geo" => Box::new(GeoMapper {
-            seed,
-            kappa: args.parsed_or("kappa", 4)?,
-            trace: trace.clone(),
-            ..GeoMapper::default()
-        }),
-        "greedy" => Box::new(GreedyMapper {
-            trace: trace.clone(),
-            ..GreedyMapper::default()
-        }),
-        "mpipp" => Box::new(MpippMapper {
-            trace: trace.clone(),
-            ..MpippMapper::with_seed(seed)
-        }),
-        "random" => Box::new(RandomMapper::with_seed(seed)),
-        "montecarlo" => Box::new(MonteCarlo {
-            trace: trace.clone(),
-            ..MonteCarlo::new(args.parsed_or("samples", 10_000)?, seed)
-        }),
-        "multilevel" => {
-            let defaults = MultilevelConfig::default();
-            Box::new(MultilevelMapper {
-                config: MultilevelConfig {
-                    coarsen_cutoff: args.parsed_or("ml-cutoff", defaults.coarsen_cutoff)?,
-                    match_rounds: args.parsed_or("ml-rounds", defaults.match_rounds)?,
-                    refine_passes: args.parsed_or("ml-passes", defaults.refine_passes)?,
-                },
-                inner: GeoMapper {
-                    seed,
-                    kappa: args.parsed_or("kappa", 4)?,
-                    trace: trace.clone(),
-                    ..GeoMapper::default()
-                },
-                trace: trace.clone(),
-                ..MultilevelMapper::default()
-            })
-        }
-        other => {
-            return Err(format!(
-                "unknown algorithm {other:?} (geo|greedy|mpipp|random|montecarlo|multilevel)"
-            ))
-        }
-    })
+    let defaults = MultilevelConfig::default();
+    let spec = MapperSpec {
+        seed,
+        kappa: args.parsed_or("kappa", 4)?,
+        samples: args.parsed_or("samples", 10_000)?,
+        multilevel: MultilevelConfig {
+            coarsen_cutoff: args.parsed_or("ml-cutoff", defaults.coarsen_cutoff)?,
+            match_rounds: args.parsed_or("ml-rounds", defaults.match_rounds)?,
+            refine_passes: args.parsed_or("ml-passes", defaults.refine_passes)?,
+        },
+        trace: trace.clone(),
+    };
+    mapper_by_name(args.optional("algorithm").unwrap_or("geo"), &spec)
 }
 
 /// `geomap map` — compute a mapping.

@@ -11,7 +11,7 @@
 //! * [`mapping::Mapping`] — the decision vector `P` (process → site) with
 //!   feasibility checking against both constraints (Eq. 5's
 //!   `(P − C) ∘ C = 0`) and capacities (`count(j, P) ≤ I_j`).
-//! * [`cost`] — the α–β cost function of Eq. 3:
+//! * [`cost`](mod@cost) — the α–β cost function of Eq. 3:
 //!   `Σ_{i,j} AG(i,j)·LT(P_i,P_j) + CG(i,j)/BT(P_i,P_j)`.
 //! * [`delta`] — the incremental Δ-cost engine: flat [`delta::CostTables`]
 //!   plus cached evaluators answering swap/move deltas in `O(deg)`, with

@@ -148,7 +148,8 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Coarsen `problem` by randomized heavy-edge matching until the
-    /// cutoff, a matching stall, or [`MAX_LEVELS`] stops it.
+    /// cutoff, a matching stall, or the level cap (`MAX_LEVELS`) stops
+    /// it.
     pub fn coarsen(problem: &MappingProblem, config: &MultilevelConfig, seed: u64) -> Self {
         let n0 = problem.num_processes();
         let mut rng = StdRng::seed_from_u64(seed);

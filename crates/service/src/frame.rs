@@ -172,6 +172,19 @@ impl Frame {
     /// bytes consumed. [`FrameError::Truncated`] means "feed me more";
     /// any other error means the stream cannot be resynchronized.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
+        let (kind, corr_id, payload) = Self::split(buf)?;
+        let frame = Frame {
+            kind,
+            corr_id,
+            payload: payload.to_vec(),
+        };
+        Ok((frame, FRAME_HEADER_BYTES + payload.len()))
+    }
+
+    /// [`Frame::decode`] without the copy: the kind, the correlation id
+    /// and the payload borrowed from `buf`. The frame spans the first
+    /// `FRAME_HEADER_BYTES + payload.len()` bytes of `buf`.
+    pub fn split(buf: &[u8]) -> Result<(FrameKind, u64, &[u8]), FrameError> {
         if buf.is_empty() {
             return Err(FrameError::Truncated {
                 have: 0,
@@ -206,14 +219,7 @@ impl Frame {
                 need: total,
             });
         }
-        Ok((
-            Frame {
-                kind,
-                corr_id,
-                payload: buf[FRAME_HEADER_BYTES..total].to_vec(),
-            },
-            total,
-        ))
+        Ok((kind, corr_id, &buf[FRAME_HEADER_BYTES..total]))
     }
 
     /// The correlation id of a partial frame whose header has arrived,

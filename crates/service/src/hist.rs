@@ -304,29 +304,39 @@ impl Sharded {
 }
 
 /// The latency quantities the service tracks, one fixed histogram per
-/// kind. The wire carries the `label()` string.
+/// kind. The wire carries the `label()` string. Every `*_e2e` kind is
+/// the request's queue wait plus its time inside the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistKind {
-    /// Map request wall time inside the service (queue wait excluded).
+    /// Map request end to end.
     MapE2e,
     /// Admission-queue wait charged to a map request.
     MapQueueWait,
     /// Solver time inside a map request.
     MapSolve,
-    /// Release request wall time.
+    /// Release request end to end.
     ReleaseE2e,
-    /// Stats request wall time.
+    /// Stats request end to end.
     StatsE2e,
+    /// Remap request end to end.
+    RemapE2e,
+    /// Lease-journal lookup end to end.
+    JournalE2e,
+    /// Trace-ring dump end to end.
+    TraceDumpE2e,
 }
 
 impl HistKind {
     /// All kinds, in stable wire/report order.
-    pub const ALL: [HistKind; 5] = [
+    pub const ALL: [HistKind; 8] = [
         HistKind::MapE2e,
         HistKind::MapQueueWait,
         HistKind::MapSolve,
         HistKind::ReleaseE2e,
         HistKind::StatsE2e,
+        HistKind::RemapE2e,
+        HistKind::JournalE2e,
+        HistKind::TraceDumpE2e,
     ];
 
     /// Stable name used on the wire and in the Prometheus exposition.
@@ -338,17 +348,16 @@ impl HistKind {
             HistKind::MapSolve => "map_solve",
             HistKind::ReleaseE2e => "release_e2e",
             HistKind::StatsE2e => "stats_e2e",
+            HistKind::RemapE2e => "remap_e2e",
+            HistKind::JournalE2e => "journal_e2e",
+            HistKind::TraceDumpE2e => "trace_dump_e2e",
         }
     }
 
+    /// Position in [`HistKind::ALL`], which lists the kinds in
+    /// declaration order.
     fn index(self) -> usize {
-        match self {
-            HistKind::MapE2e => 0,
-            HistKind::MapQueueWait => 1,
-            HistKind::MapSolve => 2,
-            HistKind::ReleaseE2e => 3,
-            HistKind::StatsE2e => 4,
-        }
+        self as usize
     }
 }
 

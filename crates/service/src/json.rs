@@ -13,6 +13,9 @@
 use geomap_core::metrics::escape_json;
 use std::fmt::Write as _;
 
+/// 2^53: every integer up to it is exactly an `f64`.
+const F64_EXACT: u64 = 1 << 53;
+
 /// A parsed JSON value. Objects preserve insertion order so emitted
 /// documents are stable for golden tests.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,9 +24,12 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as `f64`; the protocol's
-    /// integers are small enough to be exact).
+    /// A JSON number carried as `f64`.
     Num(f64),
+    /// An unsigned integer above 2^53, where `f64` stops holding every
+    /// integer, carried as its exact digits so every `u64` field
+    /// survives the v1 wire (see [`Json::uint`]).
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -53,17 +59,31 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
+            Json::Int(v) => Some(*v as f64),
             _ => None,
+        }
+    }
+
+    /// The JSON number for an unsigned integer: a [`Json::Num`] while
+    /// `f64` holds every integer up to it (2^53), a [`Json::Int`] above,
+    /// which emits its exact digits.
+    pub fn uint(v: u64) -> Json {
+        if v <= F64_EXACT {
+            Json::Num(v as f64)
+        } else {
+            Json::Int(v)
         }
     }
 
     /// The numeric payload as a non-negative integer, rejecting
     /// fractional, negative, or out-of-range values. The bound is
     /// strict: `u64::MAX as f64` rounds *up* to 2^64, which is not a
-    /// valid u64, so it must not be accepted and saturated. Integers
-    /// above 2^53 are inherently approximate in a JSON number; callers
-    /// get the nearest representable value.
+    /// valid u64, so it must not be accepted and saturated. Integer
+    /// literals above 2^53 parse as [`Json::Int`] and come back exact.
     pub fn as_u64(&self) -> Option<u64> {
+        if let Json::Int(v) = self {
+            return Some(*v);
+        }
         let x = self.as_f64()?;
         (x >= 0.0 && x.fract() == 0.0 && x < u64::MAX as f64).then_some(x as u64)
     }
@@ -102,6 +122,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            Json::Int(v) => write!(out, "{v}").expect("writing to String cannot fail"),
             Json::Num(x) => {
                 if x.is_finite() {
                     // Rust's f64 Display is the shortest string that
@@ -315,6 +336,16 @@ impl Parser<'_> {
         if !x.is_finite() {
             return Err(format!("non-finite number {text:?} at byte {start}"));
         }
+        // An integer literal from 2^53 up is exact only as a `u64`, unless
+        // it is the very text an `f64` prints (then it stays that `f64`,
+        // so floats keep round-tripping bit-identically).
+        if x >= F64_EXACT as f64 && text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(v) = text.parse::<u64>() {
+                if x.to_string() != text {
+                    return Ok(Json::Int(v));
+                }
+            }
+        }
         Ok(Json::Num(x))
     }
 
@@ -468,6 +499,20 @@ mod tests {
         let top = (u64::MAX as f64).next_down();
         assert_eq!(Json::Num(top).as_u64(), Some(top as u64));
         assert_eq!(Json::Num(9007199254740992.0).as_u64(), Some(1 << 53));
+    }
+
+    #[test]
+    fn integers_past_two_to_the_53_round_trip_exactly() {
+        for v in [(1 << 53) + 1, 1 << 60, u64::MAX - 1, u64::MAX] {
+            let back = Json::parse(&Json::uint(v).emit()).unwrap();
+            assert_eq!(back.as_u64(), Some(v), "{v}");
+        }
+        // Up to 2^53 the emitted bytes are the plain `f64` ones.
+        assert_eq!(Json::uint(1 << 53), Json::Num(9007199254740992.0));
+        assert_eq!(Json::uint(1 << 53).emit(), "9007199254740992");
+        // The digits an `f64` prints parse back to that `f64`.
+        let x = (1u64 << 60) as f64;
+        assert_eq!(Json::parse(&Json::Num(x).emit()).unwrap(), Json::Num(x));
     }
 
     #[test]

@@ -40,7 +40,9 @@
 //!
 //! [`service::MappingService::handle`] is the entire service as a
 //! function call; the TCP layer adds nothing but transport and
-//! concurrency, so every behavior is testable without sockets.
+//! concurrency — its reactor hands raw messages to
+//! [`service::MappingService::answer`], the same entry the loopback
+//! transport uses — so every behavior is testable without sockets.
 
 pub mod cache;
 pub mod client;
@@ -71,7 +73,7 @@ pub use proto::{
 };
 pub use reconciler::{Reconciler, ReconcilerConfig, TickReport, WatchedPlacement};
 pub use server::MappingServer;
-pub use service::{MappingService, ServiceConfig};
+pub use service::{Admission, MappingService, ServiceConfig};
 pub use transport::{
     Connector, Fault, FaultPlan, FaultyConnector, LoopbackConnector, TcpConnector, Transport,
     TransportError,

@@ -8,8 +8,8 @@
 //! The message types ([`MapRequest`], [`MapResponse`], [`ErrorResponse`],
 //! …) derive the workspace's `serde` markers (the vendored serde is a
 //! marker-trait shim — see `third_party/README.md`). Each is described
-//! once by a field list below ([`crate::schema`]); this module's JSON
-//! backend walks those lists through [`crate::json`], and
+//! once by a field list below (the private `schema` module); this
+//! module's JSON backend walks those lists through [`crate::json`], and
 //! [`crate::frame`] walks the same lists for the v2 binary frames.
 //!
 //! Bulk payloads (communication pattern, constraints) are embedded as
@@ -1002,13 +1002,19 @@ impl CalibSpec {
 }
 
 impl MapRequest {
-    fn check(&self) -> Result<(), &'static str> {
+    fn check(&self) -> Result<(), String> {
         self.calibration.check()?;
         match self.multilevel {
             Some(ml) if ml.coarsen_cutoff == 0 => Err("multilevel cutoff must be >= 1"),
             Some(ml) if ml.match_rounds == 0 => Err("multilevel rounds must be >= 1"),
             _ => Ok(()),
+        }?;
+        // Refused here, before a cache lookup could start a calibration
+        // campaign for a solver that does not exist.
+        if !baselines::ALGORITHMS.contains(&self.algorithm.as_str()) {
+            return Err(baselines::unknown_algorithm(&self.algorithm));
         }
+        Ok(())
     }
 }
 
@@ -1030,16 +1036,29 @@ impl Request {
     /// structurally valid decode, so the two protocols refuse the same
     /// requests with the same errors, carrying the request id.
     pub fn validate(&self) -> Result<(), ErrorResponse> {
-        let (id, check) = match self {
-            Request::Map(m) => (&m.id, m.check()),
-            Request::Remap(r) => (&r.id, r.check()),
+        let check = match self {
+            Request::Map(m) => m.check(),
+            Request::Remap(r) => r.check().map_err(String::from),
             _ => return Ok(()),
         };
         check.map_err(|message| ErrorResponse {
-            id: id.clone(),
+            id: self.id().to_string(),
             code: ErrorCode::BadRequest,
-            message: message.into(),
+            message,
         })
+    }
+
+    /// The correlation id carried by any request kind.
+    pub fn id(&self) -> &str {
+        match self {
+            Request::Map(m) => &m.id,
+            Request::Remap(r) => &r.id,
+            Request::Release { id, .. }
+            | Request::Stats { id, .. }
+            | Request::Shutdown { id }
+            | Request::Journal { id, .. }
+            | Request::TraceDump { id } => id,
+        }
     }
 }
 
@@ -1062,7 +1081,7 @@ macro_rules! json_uint {
     ($($t:ty),*) => {$(
         impl JsonScalar for $t {
             fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
+                Json::uint(*self as u64)
             }
             fn from_json(v: &Json) -> Option<Self> {
                 v.as_u64().and_then(|x| Self::try_from(x).ok())

@@ -9,7 +9,7 @@
 //! against stale link estimates. The reconciler closes the loop: it
 //! scores those drift signals against a threshold each tick and, when
 //! the world has shifted enough, runs the bounded-migration re-solver
-//! ([`MappingService::handle_remap`]) for every placement it watches,
+//! (a `remap` through [`MappingService::handle`]) for every placement it watches,
 //! rebooking live leases in place and publishing the diff.
 //!
 //! Determinism first: [`Reconciler::tick`] is a plain function call —
@@ -27,9 +27,8 @@
 //! requests there; see [`crate::federation`]).
 
 use crate::inventory::DriftCounters;
-use crate::proto::{CalibSpec, ErrorCode, RemapDiffResponse, RemapRequest, Response};
+use crate::proto::{CalibSpec, ErrorCode, RemapDiffResponse, RemapRequest, Request, Response};
 use crate::service::MappingService;
-use geomap_core::TraceScope;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -254,7 +253,7 @@ impl Reconciler {
             request.alpha = self.config.alpha;
             request.calibration = placement.calibration.clone();
             request.lease = placement.lease;
-            match self.service.handle_remap(&request, TraceScope::off()) {
+            match self.service.handle(&Request::Remap(request)) {
                 Response::RemapDiff(diff) => {
                     if !diff.moved.is_empty() {
                         self.remaps.fetch_add(1, Ordering::Relaxed);

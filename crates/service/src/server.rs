@@ -3,7 +3,7 @@
 //!
 //! Connections speak either wire protocol — v1 JSON lines or v2 binary
 //! frames ([`crate::frame`]) — told apart by each message's first byte
-//! ([`frame::FRAME_MAGIC`] is a UTF-8 continuation byte no JSON line
+//! ([`FRAME_MAGIC`] is a UTF-8 continuation byte no JSON line
 //! can start with), so both share one port and one code path.
 //! Pipelining is allowed on every connection in both formats.
 //!
@@ -13,9 +13,10 @@
 //! buffering) — so a slow client can never stall admission. Reactor
 //! threads adopt admitted connections in batches and run a readiness
 //! loop over them: each sweep flushes pending writes, reads whatever
-//! bytes are available from every nonblocking socket, answers every
-//! *complete* message through [`MappingService`], and writes each
-//! connection's accumulated responses with a single syscall — so a
+//! bytes are available from every nonblocking socket, hands every
+//! *complete* message to [`MappingService::answer`] (which decodes,
+//! serves and encodes it — the reactor only frames bytes), and writes
+//! each connection's accumulated responses with a single syscall — so a
 //! burst of pipelined cache hits drains in one syscall wave instead of
 //! one read/write round trip each. A slow or idle connection costs a
 //! buffer, never a thread.
@@ -27,9 +28,9 @@
 //! flush, close their connections and exit; [`MappingServer::join`]
 //! returns once the sinks are flushed.
 
-use crate::frame::{self, Frame, FrameError};
-use crate::proto::{ErrorCode, Request, Response};
-use crate::service::MappingService;
+use crate::frame::{Frame, FrameError, FRAME_HEADER_BYTES, FRAME_MAGIC};
+use crate::proto::ErrorCode;
+use crate::service::{Admission, MappingService};
 use geomap_core::TraceScope;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -275,11 +276,9 @@ struct Conn {
     inbuf: Vec<u8>,
     /// Responses encoded but not yet accepted by the socket.
     outbuf: Vec<u8>,
-    /// Queue wait measured at adoption; charged to the first request
-    /// and used as the queue component of every deadline check on this
-    /// connection (follow-ups arrived on an already-adopted socket).
+    /// Queue wait measured at adoption, charged to the first message
+    /// (zero once taken).
     queue_wait: Duration,
-    first: bool,
     last_activity: Instant,
     /// Peer closed its write side; flush what we owe, then close.
     eof: bool,
@@ -298,7 +297,6 @@ impl Conn {
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             queue_wait: job.accepted.elapsed(),
-            first: true,
             last_activity: Instant::now(),
             eof: false,
             close_after_flush: false,
@@ -385,12 +383,12 @@ enum Extract {
     /// A v1 line: `consumed` bytes including the `\n`, line body is
     /// `buf[..line_len]` (terminators stripped).
     Line { line_len: usize, consumed: usize },
-    /// A v2 frame, fully decoded; `consumed` bytes.
-    Framed { frame: Frame, consumed: usize },
+    /// A whole v2 frame: `buf[..consumed]`.
+    Framed { consumed: usize },
     /// A v1 line exceeded [`MAX_LINE_BYTES`] without terminating.
     TooLong,
     /// The byte stream is not a valid frame and cannot be resynced.
-    Broken(FrameError),
+    Broken,
 }
 
 /// Extract the next complete message from `buf` (leading blank lines
@@ -401,13 +399,15 @@ fn extract_message(buf: &[u8]) -> Extract {
     if buf.is_empty() {
         return Extract::Pending;
     }
-    if buf[0] == frame::FRAME_MAGIC {
-        return match Frame::decode(buf) {
-            Ok((frame, consumed)) => Extract::Framed { frame, consumed },
+    if buf[0] == FRAME_MAGIC {
+        return match Frame::split(buf) {
+            Ok((_, _, payload)) => Extract::Framed {
+                consumed: FRAME_HEADER_BYTES + payload.len(),
+            },
             Err(FrameError::Truncated { .. }) => Extract::Pending,
             // Oversized, bad version, bad kind: the stream cannot be
-            // resynced mid-frame; the caller answers and hangs up.
-            Err(e) => Extract::Broken(e),
+            // resynced mid-frame; the service answers and we hang up.
+            Err(_) => Extract::Broken,
         };
     }
     match buf.iter().position(|&b| b == b'\n') {
@@ -452,7 +452,7 @@ fn reactor_loop(index: usize, conn_cap: usize, service: &MappingService, queue: 
             service.note_queue_depth(queue.len() as u64);
         }
         conns.retain_mut(|conn| {
-            let (keep, moved) = sweep(conn, service, queue, index, &scope);
+            let (keep, moved) = sweep(conn, service, index, scope);
             progress |= moved;
             keep
         });
@@ -484,9 +484,8 @@ fn reactor_loop(index: usize, conn_cap: usize, service: &MappingService, queue: 
 fn sweep(
     conn: &mut Conn,
     service: &MappingService,
-    queue: &Queue,
     worker: usize,
-    scope: &TraceScope<'_>,
+    scope: TraceScope<'_>,
 ) -> (bool, bool) {
     let mut progress = false;
     match conn.flush(service) {
@@ -500,7 +499,7 @@ fn sweep(
         Err(_) => return (false, true),
     }
     if conn.drain_remaining.is_none() && !conn.close_after_flush {
-        progress |= answer_buffered(conn, service, queue, worker, scope);
+        progress |= answer_buffered(conn, service, worker, scope);
     }
     match conn.flush(service) {
         Ok(drained) => {
@@ -532,108 +531,64 @@ fn sweep(
     (true, progress)
 }
 
-/// Answer every complete message currently buffered on `conn`,
-/// appending responses to its `outbuf`. Returns true when any message
-/// was processed.
+/// Pass every complete message buffered on `conn` to
+/// [`MappingService::answer`], which appends the responses to its
+/// `outbuf`. Returns true when any message was processed.
 fn answer_buffered(
     conn: &mut Conn,
     service: &MappingService,
-    queue: &Queue,
-    worker: usize,
-    scope: &TraceScope<'_>,
+    shard: usize,
+    scope: TraceScope<'_>,
 ) -> bool {
     let mut pos = 0usize;
     let mut progress = false;
-    loop {
-        if conn.outbuf.len() >= OUT_HIGH_WATER {
-            // The peer isn't reading; stop generating responses it has
-            // no room for. The unparsed bytes keep until it catches up.
-            break;
-        }
+    // Past the high-water mark the peer isn't reading; the unparsed
+    // bytes keep until it catches up.
+    while conn.outbuf.len() < OUT_HIGH_WATER {
         while pos < conn.inbuf.len() && (conn.inbuf[pos] == b'\n' || conn.inbuf[pos] == b'\r') {
             pos += 1;
         }
-        match extract_message(&conn.inbuf[pos..]) {
-            Extract::Pending => {
-                // EOF with a partial v1 line: the unterminated tail is
-                // the final request (a frame fragment is unanswerable).
+        let rest = &conn.inbuf[pos..];
+        let (len, consumed) = match extract_message(rest) {
+            // EOF with a partial v1 line: the unterminated tail is the
+            // final request (a frame fragment is unanswerable).
+            Extract::Pending
                 if conn.eof
-                    && pos < conn.inbuf.len()
-                    && conn.inbuf[pos] != frame::FRAME_MAGIC
-                    && conn.inbuf.len() - pos <= MAX_LINE_BYTES
-                {
-                    let line = String::from_utf8_lossy(&conn.inbuf[pos..]).into_owned();
-                    pos = conn.inbuf.len();
-                    progress = true;
-                    respond_line(conn, service, queue, worker, scope, &line);
-                }
-                break;
+                    && !rest.is_empty()
+                    && rest[0] != FRAME_MAGIC
+                    && rest.len() <= MAX_LINE_BYTES =>
+            {
+                (rest.len(), rest.len())
             }
-            Extract::Line { line_len, consumed } => {
-                let line = String::from_utf8_lossy(&conn.inbuf[pos..pos + line_len]).into_owned();
-                pos += consumed;
-                progress = true;
-                respond_line(conn, service, queue, worker, scope, &line);
-                if conn.close_after_flush {
-                    break;
-                }
-            }
-            Extract::Framed { frame, consumed } => {
-                pos += consumed;
-                progress = true;
-                if frame.kind != frame::FrameKind::Request {
-                    let resp = service.reject(
-                        "",
-                        ErrorCode::BadRequest,
-                        "expected a request frame, got a response frame".to_string(),
-                    );
-                    push_frame(conn, &resp, frame.corr_id);
-                    conn.close_after_flush = true;
-                    break;
-                }
-                let request = match frame::decode_request_payload(&frame.payload) {
-                    Ok(req) => req,
-                    Err(bad) => {
-                        let resp = service.reject(&bad.id, bad.code, bad.message);
-                        push_frame(conn, &resp, frame.corr_id);
-                        continue;
-                    }
-                };
-                let response = answer(conn, service, queue, worker, scope, request);
-                let shutdown_now = matches!(response, Response::Shutdown { .. });
-                push_frame(conn, &response, frame.corr_id);
-                if shutdown_now {
-                    conn.close_after_flush = true;
-                    break;
-                }
-            }
+            Extract::Pending => break,
+            Extract::Line { line_len, consumed } => (line_len, consumed),
+            Extract::Framed { consumed } => (consumed, consumed),
+            // The service refuses the whole buffered line as too long.
+            // Lingering close: keep consuming (bounded) so the peer's
+            // send isn't cut off by a reset before it reads our error.
             Extract::TooLong => {
-                let resp = service.reject(
-                    "",
-                    ErrorCode::BadRequest,
-                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                );
-                push_line(conn, &resp);
-                // Lingering close: keep consuming (bounded) so the
-                // peer's send isn't cut off by a reset before it reads
-                // our error line.
                 conn.drain_remaining = Some(DRAIN_LIMIT);
-                pos = conn.inbuf.len();
-                progress = true;
-                break;
+                (rest.len(), rest.len())
             }
-            Extract::Broken(e) => {
-                let corr = Frame::peek_corr_id(&conn.inbuf[pos..]).unwrap_or(0);
-                let code = match e {
-                    FrameError::BadVersion(_) => ErrorCode::UnsupportedVersion,
-                    _ => ErrorCode::BadRequest,
-                };
-                let resp = service.reject("", code, e.to_string());
-                push_frame(conn, &resp, corr);
-                conn.close_after_flush = true;
-                progress = true;
-                break;
-            }
+            // The service refuses the broken frame and asks to hang up.
+            Extract::Broken => (rest.len(), rest.len()),
+        };
+        let at = Admission {
+            // A connection's admission wait is charged to its first
+            // message; pipelined follow-ups never waited.
+            queue_wait: std::mem::take(&mut conn.queue_wait),
+            shard,
+            admitted: true,
+            scope,
+        };
+        let close = service.answer(&conn.inbuf[pos..pos + len], at, &mut conn.outbuf);
+        pos += consumed;
+        progress = true;
+        if close {
+            conn.close_after_flush = true;
+        }
+        if close || conn.drain_remaining.is_some() {
+            break;
         }
     }
     if pos > 0 {
@@ -645,105 +600,11 @@ fn answer_buffered(
     progress
 }
 
-/// Answer one v1 line, encoding the response as a v1 line.
-fn respond_line(
-    conn: &mut Conn,
-    service: &MappingService,
-    queue: &Queue,
-    worker: usize,
-    scope: &TraceScope<'_>,
-    line: &str,
-) {
-    if line.trim().is_empty() {
-        return;
-    }
-    let response = match Request::from_line(line) {
-        Err(bad) => service.reject(&bad.id, bad.code, bad.message),
-        Ok(request) => answer(conn, service, queue, worker, scope, request),
-    };
-    let shutdown_now = matches!(response, Response::Shutdown { .. });
-    push_line(conn, &response);
-    if shutdown_now {
-        conn.close_after_flush = true;
-    }
-}
-
-/// Answer one decoded request. The first request on a connection is
-/// charged the measured queue wait; pipelined follow-ups on the same
-/// connection never waited, so they report zero.
-fn answer(
-    conn: &mut Conn,
-    service: &MappingService,
-    queue: &Queue,
-    worker: usize,
-    scope: &TraceScope<'_>,
-    request: Request,
-) -> Response {
-    let queue_wait_s = if conn.first {
-        conn.queue_wait.as_secs_f64()
-    } else {
-        0.0
-    };
-    conn.first = false;
-    match request {
-        Request::Shutdown { id } => {
-            service.begin_shutdown();
-            Response::Shutdown {
-                id,
-                draining: queue.len() as u64,
-            }
-        }
-        Request::Map(m) => {
-            let deadline = m
-                .deadline_ms
-                .map(Duration::from_millis)
-                .or(service.config().default_deadline);
-            if deadline.is_some_and(|d| conn.queue_wait > d) {
-                service.reject(
-                    &m.id,
-                    ErrorCode::DeadlineExceeded,
-                    format!(
-                        "spent {:.0} ms in queue, deadline was {} ms",
-                        conn.queue_wait.as_secs_f64() * 1e3,
-                        deadline.unwrap_or_default().as_millis()
-                    ),
-                )
-            } else {
-                if scope.enabled() {
-                    // The wait already happened (between accept and
-                    // adoption), so the span is backdated; the ring
-                    // export sorts by timestamp.
-                    let now = scope.trace.now();
-                    scope
-                        .trace
-                        .span_begin(scope.track, "queue_wait", now - queue_wait_s);
-                    scope.trace.span_end(scope.track, "queue_wait", now);
-                }
-                scope.span_begin("request");
-                let out = service.handle_map_on(&m, queue_wait_s, worker, *scope);
-                scope.span_end("request");
-                out
-            }
-        }
-        other => service.handle_on(&other, worker, *scope),
-    }
-}
-
-fn push_line(conn: &mut Conn, response: &Response) {
-    let line = response.to_line();
-    conn.outbuf.reserve(line.len() + 1);
-    conn.outbuf.extend_from_slice(line.as_bytes());
-    conn.outbuf.push(b'\n');
-}
-
-fn push_frame(conn: &mut Conn, response: &Response, corr_id: u64) {
-    conn.outbuf
-        .extend_from_slice(&frame::encode_response(response, corr_id));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame;
+    use crate::proto::Response;
 
     /// Regression: a multi-byte UTF-8 character arriving split across
     /// reads must survive intact. Feeding the buffer one byte at a time
@@ -786,10 +647,11 @@ mod tests {
             buf.push(b);
             match extract_message(&buf) {
                 Extract::Pending => assert!(i + 1 < wire.len(), "complete frame stayed pending"),
-                Extract::Framed { frame, consumed } => {
+                Extract::Framed { consumed } => {
                     assert_eq!(i + 1, wire.len(), "decoded before the last byte");
                     assert_eq!(consumed, wire.len());
-                    assert_eq!(frame.corr_id, 77);
+                    let (_, corr_id, _) = Frame::split(&buf[..consumed]).expect("whole frame");
+                    assert_eq!(corr_id, 77);
                 }
                 _ => panic!("unexpected extraction at byte {i}"),
             }
@@ -819,9 +681,10 @@ mod tests {
         let mut wire = vec![frame::FRAME_MAGIC, frame::FRAME_VERSION, 1];
         wire.extend_from_slice(&7u64.to_le_bytes());
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
-        match extract_message(&wire) {
-            Extract::Broken(FrameError::Oversized { .. }) => {}
-            _ => panic!("expected an oversized-frame error"),
-        }
+        assert!(matches!(extract_message(&wire), Extract::Broken));
+        assert!(matches!(
+            Frame::split(&wire),
+            Err(FrameError::Oversized { .. })
+        ));
     }
 }

@@ -7,6 +7,14 @@
 //! pool around it; deterministic tests drive this type directly so no
 //! scheduler interleaving can hide in the assertions.
 //!
+//! There is one request path. The reactor and the loopback transport
+//! hand each complete wire message to [`MappingService::answer`], which
+//! sniffs v1 from v2, decodes (the decoders run [`Request::validate`]),
+//! serves and encodes the response in the message's own format;
+//! `handle` runs the same validation on an in-process request. Both end
+//! in one handler that alone applies the shutdown gate, the deadline,
+//! the `request` span and the per-kind latency histogram.
+//!
 //! A `map` request runs the same stages as the batch pipeline
 //! (`geomap_core::pipeline::run_with_pattern`) and is bit-identical to
 //! it for the same seeds — verified by `tests/service_behavior.rs`:
@@ -26,6 +34,7 @@ use crate::cache::FingerprintCache;
 use crate::clock::{Clock, WallClock};
 use crate::federation::LeaseJournal;
 use crate::fingerprint::Fingerprint;
+use crate::frame::{self, Frame, FrameError, FrameKind, FRAME_MAGIC};
 use crate::hist::{HistKind, HistSet, SCHEMA_VERSION};
 use crate::inventory::{ClusterInventory, RebookError};
 use crate::proto::{
@@ -33,12 +42,12 @@ use crate::proto::{
     MapResponse, RemapDiffResponse, RemapRequest, Request, Response, StatsDetail, StatsResponse,
     TraceDumpResponse, WireTraceEvent, WireTrack,
 };
-use baselines::{GreedyMapper, MonteCarlo, MpippMapper, RandomMapper};
+use crate::server::MAX_LINE_BYTES;
+use baselines::{mapper_by_name, MapperSpec};
 use commgraph::CommPattern;
 use geomap_core::{
-    cost, repair_with_tables, ConstraintVector, CostModel, CostTables, GeoMapper, Mapper, Mapping,
-    MappingProblem, Metrics, MultilevelConfig, MultilevelMapper, RemapConfig, RingBufferSink,
-    Trace, TraceEventKind, TraceScope,
+    cost, repair_with_tables, ConstraintVector, CostModel, CostTables, Mapping, MappingProblem,
+    Metrics, MultilevelConfig, RemapConfig, RingBufferSink, Trace, TraceEventKind, TraceScope,
 };
 use geonet::{io as netio, Calibrator, SiteId, SiteNetwork};
 use std::collections::HashSet;
@@ -171,7 +180,7 @@ struct Inflight {
 }
 
 /// Ownership of an in-flight idempotency key; dropping it (any exit
-/// path out of `handle_map` — success, rejection, or solver panic)
+/// path out of `serve_map` — success, rejection, or solver panic)
 /// releases the key and wakes parked duplicates.
 struct InflightGuard<'a> {
     inflight: &'a Inflight,
@@ -184,6 +193,38 @@ impl Drop for InflightGuard<'_> {
         keys.remove(&self.key_fp);
         drop(keys);
         self.inflight.done.notify_all();
+    }
+}
+
+/// What a front-end knows about a message beyond its bytes — the
+/// context [`MappingService::answer`] serves it in.
+#[derive(Debug, Clone, Copy)]
+pub struct Admission<'a> {
+    /// Time the message waited to be admitted. The TCP front-end charges
+    /// a connection's admission wait to its first message; pipelined
+    /// follow-ups never waited. Checked against deadlines and recorded
+    /// into the `*_e2e` histograms.
+    pub queue_wait: Duration,
+    /// Histogram shard to record into (the reactor's index, so
+    /// recording never contends across reactors).
+    pub shard: usize,
+    /// True when a front-end admitted the message before shutdown
+    /// began: admitted work drains, so the shutdown gate lets it pass.
+    pub admitted: bool,
+    /// Trace track for the request's spans.
+    pub scope: TraceScope<'a>,
+}
+
+impl Admission<'_> {
+    /// An in-process call: no queue wait, shard 0, not admitted (new
+    /// mapping work is refused once shutdown began), untraced.
+    pub fn in_process() -> Admission<'static> {
+        Admission {
+            queue_wait: Duration::ZERO,
+            shard: 0,
+            admitted: false,
+            scope: TraceScope::off(),
+        }
     }
 }
 
@@ -294,86 +335,149 @@ impl MappingService {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Handle any request in-process (queue wait = 0). This is the
-    /// deterministic single-process mode; the TCP server routes every
-    /// decoded request through the same code. New mapping work is
-    /// refused once shutdown began — the TCP front-end gates admission
-    /// itself (at accept time) so already-queued requests still drain.
+    /// Handle any request in-process: the deterministic single-process
+    /// mode. Runs the value checks both wire decoders run
+    /// ([`Request::validate`]), then the one handler every wire message
+    /// reaches too, with no queue wait and no admission — so new
+    /// mapping work is refused once shutdown began.
     pub fn handle(&self, request: &Request) -> Response {
-        self.handle_on(request, 0, TraceScope::off())
+        match request.validate() {
+            Ok(()) => self.serve(request, Admission::in_process()),
+            Err(bad) => self.reject(&bad.id, bad.code, bad.message),
+        }
     }
 
-    /// [`MappingService::handle`] with an explicit histogram shard (the
-    /// TCP front-end passes its worker index so recording never
-    /// contends across reactors) and a trace scope (the worker's track)
-    /// for request-internal spans.
-    pub fn handle_on(&self, request: &Request, shard: usize, scope: TraceScope<'_>) -> Response {
-        let start = self.hists.enabled().then(Instant::now);
-        let (response, kind) = match request {
-            Request::Map(m) => {
-                if self.is_shutting_down() {
-                    return self.reject(
-                        &m.id,
-                        ErrorCode::ShuttingDown,
-                        "daemon is draining; not accepting new mapping requests".into(),
-                    );
-                }
-                return self.handle_map_on(m, 0.0, shard, scope);
+    /// Answer one complete wire message — a v1 JSON line (terminators
+    /// stripped) or a v2 frame, told apart by the first byte — and
+    /// append the encoded response to `out` in the message's own format
+    /// and correlation id. A blank line appends nothing. This is the
+    /// one request path: the TCP reactor and the loopback transport
+    /// pass their messages here, and [`MappingService::handle`] enters
+    /// the same handler after its own validation.
+    ///
+    /// Returns true when the connection must close once `out` is
+    /// flushed: after a `shutdown`, and after a frame the byte stream
+    /// cannot be resynchronized past (a broken header, or a response
+    /// frame where a request belongs).
+    pub fn answer(&self, msg: &[u8], at: Admission<'_>, out: &mut Vec<u8>) -> bool {
+        let v2 = msg.first() == Some(&FRAME_MAGIC);
+        let (corr_id, decoded) = if v2 {
+            let (corr_id, decoded) = decode_frame(msg);
+            (corr_id, decoded.map(Some))
+        } else {
+            (0, decode_line(msg))
+        };
+        let (response, close) = match decoded {
+            Ok(None) => return false,
+            Ok(Some(request)) => {
+                let response = self.serve(&request, at);
+                let close = matches!(response, Response::Shutdown { .. });
+                (response, close)
             }
-            Request::Release { id, lease } => {
-                (self.handle_release(id, *lease), HistKind::ReleaseE2e)
-            }
-            Request::Stats { id, detail } => {
-                (Response::Stats(self.stats(id, *detail)), HistKind::StatsE2e)
-            }
-            Request::TraceDump { id } => return self.trace_dump(id),
-            Request::Journal { id, key } => return self.handle_journal(id, key),
-            Request::Remap(r) => {
-                if self.is_shutting_down() {
-                    return self.reject(
-                        &r.id,
-                        ErrorCode::ShuttingDown,
-                        "daemon is draining; not accepting new mapping requests".into(),
-                    );
-                }
-                return self.handle_remap(r, scope);
-            }
-            Request::Shutdown { id } => {
-                self.begin_shutdown();
-                return Response::Shutdown {
-                    id: id.clone(),
-                    draining: 0,
-                };
+            Err(Refusal { error, fatal }) => {
+                (self.reject(&error.id, error.code, error.message), fatal)
             }
         };
-        if let Some(start) = start {
-            self.hists
-                .record_secs(kind, shard, start.elapsed().as_secs_f64());
+        if v2 {
+            out.extend_from_slice(&frame::encode_response(&response, corr_id));
+        } else {
+            out.extend_from_slice(response.to_line().as_bytes());
+            out.push(b'\n');
+        }
+        close
+    }
+
+    /// The one handler every validated request reaches: the `request`
+    /// span (after a backdated `queue_wait` span), the admission gates,
+    /// the dispatch, and one end-to-end latency sample per kind.
+    fn serve(&self, request: &Request, at: Admission<'_>) -> Response {
+        let start = self.hists.enabled().then(Instant::now);
+        let wait_s = at.queue_wait.as_secs_f64();
+        // A trace dump snapshots the ring its own spans would land in,
+        // so they would be exported open; it is timed, not traced.
+        let scope = match request {
+            Request::TraceDump { .. } => TraceScope::off(),
+            _ => at.scope,
+        };
+        if scope.enabled() {
+            // The wait already happened (between accept and adoption),
+            // so the span is backdated; the ring export sorts by
+            // timestamp.
+            let now = scope.trace.now();
+            scope
+                .trace
+                .span_begin(scope.track, "queue_wait", now - wait_s);
+            scope.trace.span_end(scope.track, "queue_wait", now);
+        }
+        scope.span_begin("request");
+        let response = self.dispatch(request, at);
+        scope.span_end("request");
+        if let (Some(start), Some(kind)) = (start, e2e_kind(request)) {
+            let e2e = wait_s + start.elapsed().as_secs_f64();
+            self.hists.record_secs(kind, at.shard, e2e);
+            if kind == HistKind::MapE2e {
+                self.hists
+                    .record_secs(HistKind::MapQueueWait, at.shard, wait_s);
+            }
         }
         response
     }
 
-    /// Handle a `map` request that already waited `queue_wait_s` in an
-    /// admission queue (0 for the in-memory mode). No shutdown gate
-    /// here: the caller decides admission, so a draining server can
-    /// still finish what it admitted.
-    pub fn handle_map(&self, m: &MapRequest, queue_wait_s: f64) -> Response {
-        self.handle_map_on(m, queue_wait_s, 0, TraceScope::off())
+    /// Apply the admission gates, then run the request. Map and remap
+    /// are mapping work: only they are refused once shutdown began
+    /// (unless a front-end admitted them earlier — admitted work
+    /// drains) or when their queue wait outran their deadline. Release,
+    /// stats, journal, trace-dump and shutdown always run.
+    fn dispatch(&self, request: &Request, at: Admission<'_>) -> Response {
+        if matches!(request, Request::Map(_) | Request::Remap(_)) {
+            if !at.admitted && self.is_shutting_down() {
+                return self.reject(
+                    request.id(),
+                    ErrorCode::ShuttingDown,
+                    "daemon is draining; not accepting new mapping requests".into(),
+                );
+            }
+            let own = match request {
+                Request::Map(m) => m.deadline_ms.map(Duration::from_millis),
+                _ => None,
+            };
+            if let Some(deadline) = own.or(self.config.default_deadline) {
+                if at.queue_wait > deadline {
+                    return self.reject(
+                        request.id(),
+                        ErrorCode::DeadlineExceeded,
+                        format!(
+                            "spent {:.0} ms in queue, deadline was {} ms",
+                            at.queue_wait.as_secs_f64() * 1e3,
+                            deadline.as_millis()
+                        ),
+                    );
+                }
+            }
+        }
+        match request {
+            Request::Map(m) => self.serve_map(m, at),
+            Request::Remap(r) => self.serve_remap(r, at.scope),
+            Request::Release { id, lease } => self.serve_release(id, *lease),
+            Request::Stats { id, detail } => Response::Stats(self.stats(id, *detail)),
+            Request::Journal { id, key } => self.serve_journal(id, key),
+            Request::TraceDump { id } => self.trace_dump(id),
+            Request::Shutdown { id } => {
+                self.begin_shutdown();
+                Response::Shutdown {
+                    id: id.clone(),
+                    draining: self.queue_depth.load(Ordering::Relaxed),
+                }
+            }
+        }
     }
 
-    /// [`MappingService::handle_map`] with an explicit histogram shard
-    /// and the worker's trace scope. When the request carries a sampled
+    /// A `map` request past the gates. When it carries a sampled
     /// [`TraceContext`](crate::proto::TraceContext), the scope's track
     /// is tagged with the trace id (a `trace` counter sample) so the
     /// fleet-timeline merge can follow one request across daemons.
-    pub fn handle_map_on(
-        &self,
-        m: &MapRequest,
-        queue_wait_s: f64,
-        shard: usize,
-        scope: TraceScope<'_>,
-    ) -> Response {
-        let start = self.hists.enabled().then(Instant::now);
+    fn serve_map(&self, m: &MapRequest, at: Admission<'_>) -> Response {
+        let (queue_wait_s, scope) = (at.queue_wait.as_secs_f64(), at.scope);
         if scope.enabled() {
             if let Some(t) = &m.trace {
                 if t.sampled {
@@ -382,26 +486,8 @@ impl MappingService {
                 }
             }
         }
-        let response = self.handle_map_inner(m, queue_wait_s, shard, scope);
-        if let Some(start) = start {
-            let e2e = queue_wait_s + start.elapsed().as_secs_f64();
-            self.hists.record_secs(HistKind::MapE2e, shard, e2e);
-            self.hists
-                .record_secs(HistKind::MapQueueWait, shard, queue_wait_s);
-        }
-        response
-    }
-
-    fn handle_map_inner(
-        &self,
-        m: &MapRequest,
-        queue_wait_s: f64,
-        shard: usize,
-        scope: TraceScope<'_>,
-    ) -> Response {
         self.metrics.counter("requests", 1);
         self.metrics.timing("phase.queue_wait", queue_wait_s);
-
         // Parse + validate everything the request embeds before any
         // expensive work; every failure is a `bad_request`, never a
         // panic (this is a network-facing daemon).
@@ -500,48 +586,22 @@ impl MappingService {
             scope.instant("cache.result_hit");
             (hit, CacheTier::Result)
         } else {
-            let (prepared, tier) = match self.problems.get(problem_key) {
-                Some(p) => {
-                    self.problem_hits.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.counter("cache.problem_hit", 1);
-                    scope.instant("cache.problem_hit");
-                    (p, CacheTier::Problem)
-                }
+            // A memo hit skipped the parse; a problem-cache miss is the
+            // one path that still needs the parsed pattern and
+            // constraints, so they materialize here (the memo only holds
+            // requests that validated, so this re-parse cannot newly
+            // fail).
+            let parse = || match parsed.take() {
+                Some(pc) => Ok(pc),
                 None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.counter("cache.miss", 1);
-                    scope.instant("cache.miss");
-                    // A memo hit skipped the parse; a problem-cache miss
-                    // is the one path that still needs the parsed
-                    // pattern and constraints, so they materialize here
-                    // (the memo only holds requests that validated, so
-                    // this re-parse cannot newly fail).
-                    let (pattern, constraints) = match parsed.take() {
-                        Some(pc) => pc,
-                        None => match self.parse_and_validate(
-                            &m.id,
-                            n,
-                            &m.pattern_csv,
-                            m.constraints_csv.as_deref(),
-                        ) {
-                            Ok(pc) => pc,
-                            Err(resp) => return *resp,
-                        },
-                    };
-                    let prepared = match self.calibrate_prepare(
-                        &m.id,
-                        pattern,
-                        constraints,
-                        &m.calibration,
-                        scope,
-                    ) {
-                        Ok(p) => p,
-                        Err(resp) => return *resp,
-                    };
-                    self.problems.insert(problem_key, prepared.clone());
-                    (prepared, CacheTier::Miss)
+                    self.parse_and_validate(&m.id, n, &m.pattern_csv, m.constraints_csv.as_deref())
                 }
             };
+            let (prepared, tier) =
+                match self.problem_tier(&m.id, problem_key, &m.calibration, scope, parse) {
+                    Ok(pt) => pt,
+                    Err(resp) => return *resp,
+                };
             scope.span_begin("solve");
             let outcome = self.solve(m, &prepared);
             scope.span_end("solve");
@@ -558,7 +618,7 @@ impl MappingService {
             0.0
         } else {
             let s = solve_start.elapsed().as_secs_f64();
-            self.hists.record_secs(HistKind::MapSolve, shard, s);
+            self.hists.record_secs(HistKind::MapSolve, at.shard, s);
             s
         };
         self.metrics.timing("phase.solve", solve_s);
@@ -663,30 +723,32 @@ impl MappingService {
         Ok((pattern, constraints))
     }
 
-    /// Run a calibration campaign and assemble the [`PreparedProblem`]
-    /// — the problem-cache miss path, shared by `map` and `remap` (both
-    /// key the same cache, so a remap for a pattern the daemon already
-    /// mapped skips the campaign entirely). Each fresh campaign is a
-    /// calibration generation; lossy campaigns that starve a pair fall
-    /// back to the last generation that measured everything and report
-    /// how many generations old that is.
-    fn calibrate_prepare(
+    /// The problem tier, shared by `map` and `remap` (both key the same
+    /// cache, so a remap for a pattern the daemon already mapped skips
+    /// the campaign entirely): a hit reuses the calibrated problem; a
+    /// miss gets the parsed payloads from `parse`, runs a calibration
+    /// campaign, assembles the [`PreparedProblem`] and caches it. Each
+    /// fresh campaign is a calibration generation; lossy campaigns that
+    /// starve a pair fall back to the last generation that measured
+    /// everything and report how many generations old that is.
+    fn problem_tier(
         &self,
         id: &str,
-        pattern: CommPattern,
-        constraints: ConstraintVector,
+        key: u64,
         calibration: &CalibSpec,
         scope: TraceScope<'_>,
-    ) -> Result<Arc<PreparedProblem>, Box<Response>> {
-        // Both wire decoders refuse these; in-process callers reach here
-        // unchecked, and the calibrator asserts on them.
-        if let Err(message) = calibration.check() {
-            return Err(Box::new(self.reject(
-                id,
-                ErrorCode::BadRequest,
-                message.into(),
-            )));
+        parse: impl FnOnce() -> Result<(CommPattern, ConstraintVector), Box<Response>>,
+    ) -> Result<(Arc<PreparedProblem>, CacheTier), Box<Response>> {
+        if let Some(prepared) = self.problems.get(key) {
+            self.problem_hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.counter("cache.problem_hit", 1);
+            scope.instant("cache.problem_hit");
+            return Ok((prepared, CacheTier::Problem));
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.metrics.counter("cache.miss", 1);
+        scope.instant("cache.miss");
+        let (pattern, constraints) = parse()?;
         let generation = self.calib_generation.fetch_add(1, Ordering::SeqCst) + 1;
         let fallback = self.last_good.lock().expect("calibration lock").clone();
         scope.span_begin("calibrate");
@@ -725,7 +787,7 @@ impl MappingService {
             }
             0
         };
-        Ok(Arc::new(PreparedProblem {
+        let prepared = Arc::new(PreparedProblem {
             problem: Arc::new(MappingProblem::new(
                 pattern,
                 report.estimated.clone(),
@@ -734,7 +796,9 @@ impl MappingService {
             calibration_probes: report.probes,
             degraded: report.degraded,
             staleness,
-        }))
+        });
+        self.problems.insert(key, prepared.clone());
+        Ok((prepared, CacheTier::Miss))
     }
 
     /// Single-flight admission for an idempotency key: exactly one
@@ -788,55 +852,20 @@ impl MappingService {
         prepared: &PreparedProblem,
     ) -> Result<SolvedResult, Box<Response>> {
         let problem = &*prepared.problem;
-        let trace = &self.config.trace;
-        let mapper: Box<dyn Mapper> = match m.algorithm.as_str() {
-            "geo" => Box::new(GeoMapper {
-                seed: m.seed,
-                kappa: m.kappa,
-                trace: trace.clone(),
-                ..GeoMapper::default()
-            }),
-            "greedy" => Box::new(GreedyMapper {
-                trace: trace.clone(),
-                ..GreedyMapper::default()
-            }),
-            "mpipp" => Box::new(MpippMapper {
-                trace: trace.clone(),
-                ..MpippMapper::with_seed(m.seed)
-            }),
-            "random" => Box::new(RandomMapper::with_seed(m.seed)),
-            "montecarlo" => Box::new(MonteCarlo {
-                trace: trace.clone(),
-                ..MonteCarlo::new(m.samples, m.seed)
-            }),
-            "multilevel" => {
-                let spec = m.multilevel.unwrap_or_default();
-                Box::new(MultilevelMapper {
-                    config: MultilevelConfig {
-                        coarsen_cutoff: spec.coarsen_cutoff,
-                        match_rounds: spec.match_rounds,
-                        refine_passes: spec.refine_passes,
-                    },
-                    inner: GeoMapper {
-                        seed: m.seed,
-                        kappa: m.kappa,
-                        trace: trace.clone(),
-                        ..GeoMapper::default()
-                    },
-                    trace: trace.clone(),
-                    ..MultilevelMapper::default()
-                })
-            }
-            other => {
-                return Err(Box::new(self.reject(
-                    &m.id,
-                    ErrorCode::BadRequest,
-                    format!(
-                        "unknown algorithm {other:?}                          (geo|greedy|mpipp|random|montecarlo|multilevel)"
-                    ),
-                )))
-            }
+        let ml = m.multilevel.unwrap_or_default();
+        let spec = MapperSpec {
+            seed: m.seed,
+            kappa: m.kappa,
+            samples: m.samples,
+            multilevel: MultilevelConfig {
+                coarsen_cutoff: ml.coarsen_cutoff,
+                match_rounds: ml.match_rounds,
+                refine_passes: ml.refine_passes,
+            },
+            trace: self.config.trace.clone(),
         };
+        let mapper = mapper_by_name(&m.algorithm, &spec)
+            .map_err(|message| Box::new(self.reject(&m.id, ErrorCode::BadRequest, message)))?;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mapping = mapper.map(problem);
             let cost = cost(problem, &mapping);
@@ -869,7 +898,7 @@ impl MappingService {
         }
     }
 
-    fn handle_release(&self, id: &str, lease: u64) -> Response {
+    fn serve_release(&self, id: &str, lease: u64) -> Response {
         match self.inventory.release(lease) {
             Ok(freed) => {
                 self.journal.forget_lease(lease);
@@ -887,7 +916,7 @@ impl MappingService {
     /// lease granted under `key`? The journal remembers the grant, the
     /// inventory decides liveness (released or TTL-expired leases
     /// answer `held: false`, and their journal entries are evicted).
-    fn handle_journal(&self, id: &str, key: &str) -> Response {
+    fn serve_journal(&self, id: &str, key: &str) -> Response {
         let entry = self.journal.lookup(key);
         match entry {
             Some(e) => match self.inventory.lease_counts(e.lease) {
@@ -935,29 +964,15 @@ impl MappingService {
     /// When the request names a lease, the repaired placement is
     /// rebooked onto it atomically (same lease id — the exactly-once
     /// story never sees a release/reserve pair).
-    pub fn handle_remap(&self, r: &RemapRequest, scope: TraceScope<'_>) -> Response {
+    fn serve_remap(&self, r: &RemapRequest, scope: TraceScope<'_>) -> Response {
         self.metrics.counter("remap.requests", 1);
         let n = r.mapping.len();
         let num_sites = self.network.num_sites();
-        if n == 0 {
-            return self.reject(
-                &r.id,
-                ErrorCode::BadRequest,
-                "remap needs a non-empty mapping".into(),
-            );
-        }
         if let Some(&bad) = r.mapping.iter().find(|&&s| s >= num_sites) {
             return self.reject(
                 &r.id,
                 ErrorCode::BadRequest,
                 format!("mapping references site {bad}, cluster has {num_sites} sites"),
-            );
-        }
-        if !(r.alpha.is_finite() && r.alpha >= 0.0) {
-            return self.reject(
-                &r.id,
-                ErrorCode::BadRequest,
-                "remap alpha must be finite and >= 0".into(),
             );
         }
         let (pattern, constraints) =
@@ -979,30 +994,10 @@ impl MappingService {
         // remapping a pattern the daemon already calibrated reuses the
         // estimate and the assembled problem.
         let problem_key = problem_key(self.network_fp, n, &r.calibration, &pattern, &constraints);
-        let prepared = match self.problems.get(problem_key) {
-            Some(p) => {
-                self.problem_hits.fetch_add(1, Ordering::Relaxed);
-                self.metrics.counter("cache.problem_hit", 1);
-                scope.instant("cache.problem_hit");
-                p
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.metrics.counter("cache.miss", 1);
-                scope.instant("cache.miss");
-                let p = match self.calibrate_prepare(
-                    &r.id,
-                    pattern,
-                    constraints,
-                    &r.calibration,
-                    scope,
-                ) {
-                    Ok(p) => p,
-                    Err(resp) => return *resp,
-                };
-                self.problems.insert(problem_key, p.clone());
-                p
-            }
+        let parsed = || Ok((pattern, constraints));
+        let prepared = match self.problem_tier(&r.id, problem_key, &r.calibration, scope, parsed) {
+            Ok((prepared, _)) => prepared,
+            Err(resp) => return *resp,
         };
 
         // Live capacity view: the free pool plus the caller's own
@@ -1260,6 +1255,85 @@ impl std::fmt::Debug for MappingService {
             .field("results", &self.results.len())
             .finish()
     }
+}
+
+/// The refusal a wire message earned before dispatch, and whether the
+/// byte stream cannot continue past it.
+struct Refusal {
+    error: ErrorResponse,
+    fatal: bool,
+}
+
+impl Refusal {
+    /// A refusal the stream continues past.
+    fn of(error: ErrorResponse) -> Self {
+        Self {
+            error,
+            fatal: false,
+        }
+    }
+}
+
+/// Decode a v1 line (terminators stripped); `None` for a blank line,
+/// which gets no answer.
+fn decode_line(msg: &[u8]) -> Result<Option<Request>, Refusal> {
+    if msg.len() > MAX_LINE_BYTES {
+        let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+        return Err(Refusal::of(unattributed(ErrorCode::BadRequest, message)));
+    }
+    let line = String::from_utf8_lossy(msg);
+    if line.trim().is_empty() {
+        return Ok(None);
+    }
+    Request::from_line(&line).map(Some).map_err(Refusal::of)
+}
+
+/// Decode a v2 frame into its correlation id and request.
+fn decode_frame(msg: &[u8]) -> (u64, Result<Request, Refusal>) {
+    let (kind, corr_id, payload) = match Frame::split(msg) {
+        Ok(parts) => parts,
+        Err(e) => {
+            let code = match e {
+                FrameError::BadVersion(_) => ErrorCode::UnsupportedVersion,
+                _ => ErrorCode::BadRequest,
+            };
+            let error = unattributed(code, e.to_string());
+            let corr_id = Frame::peek_corr_id(msg).unwrap_or(0);
+            return (corr_id, Err(Refusal { error, fatal: true }));
+        }
+    };
+    if kind != FrameKind::Request {
+        let message = "expected a request frame, got a response frame".into();
+        let error = unattributed(ErrorCode::BadRequest, message);
+        return (corr_id, Err(Refusal { error, fatal: true }));
+    }
+    (
+        corr_id,
+        frame::decode_request_payload(payload).map_err(Refusal::of),
+    )
+}
+
+/// A refusal for a message whose request id could not be read.
+fn unattributed(code: ErrorCode, message: String) -> ErrorResponse {
+    ErrorResponse {
+        id: String::new(),
+        code,
+        message,
+    }
+}
+
+/// The end-to-end histogram a request kind records into (`shutdown`
+/// has none).
+fn e2e_kind(request: &Request) -> Option<HistKind> {
+    Some(match request {
+        Request::Map(_) => HistKind::MapE2e,
+        Request::Remap(_) => HistKind::RemapE2e,
+        Request::Release { .. } => HistKind::ReleaseE2e,
+        Request::Stats { .. } => HistKind::StatsE2e,
+        Request::Journal { .. } => HistKind::JournalE2e,
+        Request::TraceDump { .. } => HistKind::TraceDumpE2e,
+        Request::Shutdown { .. } => return None,
+    })
 }
 
 /// Feed a calibration campaign into a cache key. Every key that depends

@@ -39,9 +39,8 @@
 //! which is exactly why retried `map` requests carry an idempotency key
 //! (see [`crate::client::RetryingClient`]).
 
-use crate::frame::{Frame, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES};
-use crate::proto::Request;
-use crate::service::MappingService;
+use crate::frame::{Frame, FrameError, FRAME_HEADER_BYTES, FRAME_MAGIC};
+use crate::service::{Admission, MappingService};
 use crate::wire::WireFormat;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -213,23 +212,22 @@ impl Transport for TcpTransport {
             }
         };
         if first == FRAME_MAGIC {
-            let mut header = [0u8; FRAME_HEADER_BYTES];
+            // The frame layout is frame.rs's business: read the header,
+            // and let the decoder say how many bytes the frame needs.
+            let mut msg = vec![0u8; FRAME_HEADER_BYTES];
             self.reader
-                .read_exact(&mut header)
+                .read_exact(&mut msg)
                 .map_err(|e| lost(format!("cannot read frame header: {e}")))?;
-            let len =
-                u32::from_le_bytes(header[11..15].try_into().expect("4 header bytes")) as usize;
-            if len > MAX_FRAME_BYTES {
-                return Err(lost(format!(
-                    "frame payload of {len} bytes exceeds {MAX_FRAME_BYTES}"
-                )));
+            match Frame::decode(&msg) {
+                Ok(_) => {}
+                Err(FrameError::Truncated { need, .. }) => {
+                    msg.resize(need, 0);
+                    self.reader
+                        .read_exact(&mut msg[FRAME_HEADER_BYTES..])
+                        .map_err(|e| lost(format!("cannot read frame payload: {e}")))?;
+                }
+                Err(e) => return Err(lost(e.to_string())),
             }
-            let mut msg = Vec::with_capacity(FRAME_HEADER_BYTES + len);
-            msg.extend_from_slice(&header);
-            msg.resize(FRAME_HEADER_BYTES + len, 0);
-            self.reader
-                .read_exact(&mut msg[FRAME_HEADER_BYTES..])
-                .map_err(|e| lost(format!("cannot read frame payload: {e}")))?;
             Ok(msg)
         } else {
             let mut reply = Vec::new();
@@ -291,13 +289,15 @@ impl Connector for TcpConnector {
 // Loopback
 // ---------------------------------------------------------------------
 
-/// An in-process transport: messages go straight into a
-/// [`MappingService`], responses queue up for `recv_msg`. The service
-/// side effects (inventory reservations, cache fills, counters) happen
-/// at *send* time — exactly the window a lost response leaves open on a
-/// real network, which is what the fault matrix needs to reproduce.
-/// Sniffs each message's format like the real server, so one loopback
-/// serves both protocols.
+/// An in-process transport: messages go straight into
+/// [`MappingService::answer`] — the entry the TCP reactor uses, so both
+/// protocols are sniffed, decoded and refused exactly as on the wire —
+/// and responses queue up for `recv_msg`. The service side effects
+/// (inventory reservations, cache fills, counters) happen at *send*
+/// time — exactly the window a lost response leaves open on a real
+/// network, which is what the fault matrix needs to reproduce. Nothing
+/// is admitted through a queue here, so the shutdown gate applies as
+/// for any in-process caller.
 #[derive(Debug)]
 pub struct LoopbackTransport {
     service: Arc<MappingService>,
@@ -306,31 +306,16 @@ pub struct LoopbackTransport {
 
 impl Transport for LoopbackTransport {
     fn send_msg(&mut self, msg: &[u8]) -> Result<(), TransportError> {
-        let reply = if msg.first() == Some(&FRAME_MAGIC) {
-            match Frame::decode(msg) {
-                Ok((f, _)) => {
-                    let response = match crate::frame::decode_request_payload(&f.payload) {
-                        Ok(req) => self.service.handle(&req),
-                        Err(bad) => self.service.reject(&bad.id, bad.code, bad.message),
-                    };
-                    crate::frame::encode_response(&response, f.corr_id)
-                }
-                Err(e) => {
-                    let bad =
-                        self.service
-                            .reject("", crate::proto::ErrorCode::BadRequest, e.to_string());
-                    crate::frame::encode_response(&bad, 0)
-                }
-            }
-        } else {
-            let line = String::from_utf8_lossy(msg);
-            let response = match Request::from_line(&line) {
-                Ok(req) => self.service.handle(&req),
-                Err(bad) => self.service.reject(&bad.id, bad.code, bad.message),
-            };
-            response.to_line().into_bytes()
-        };
-        self.pending.push_back(reply);
+        let mut reply = Vec::new();
+        self.service
+            .answer(msg, Admission::in_process(), &mut reply);
+        // Messages on this seam carry no line framing.
+        if reply.first() != Some(&FRAME_MAGIC) && reply.last() == Some(&b'\n') {
+            reply.pop();
+        }
+        if !reply.is_empty() {
+            self.pending.push_back(reply);
+        }
         Ok(())
     }
 
@@ -619,13 +604,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             Fault::PartialWrite => {
                 // The prefix never forms a complete message (a split
                 // line, or a split length prefix), so the server never
-                // processes anything: nothing is delivered inward.
+                // processes anything: nothing is delivered inward. The
+                // diagnostic names no byte counts: they differ by wire
+                // format, and a same-seed storm must read alike in both.
                 self.plan.consume();
-                Err(TransportError::SendUnknown(format!(
-                    "injected fault: partial write ({} of {} bytes)",
-                    msg.len() / 2,
-                    msg.len() + 1
-                )))
+                Err(TransportError::SendUnknown(
+                    "injected fault: partial write (half the message)".into(),
+                ))
             }
             Fault::ConnectRefused => {
                 // Armed on a reused connection (no connect happened):

@@ -482,7 +482,7 @@ fn concurrent_duplicates_of_one_key_reserve_exactly_once() {
                     ..MapRequest::new(format!("dup-{i}"), pattern_csv(4))
                 };
                 barrier.wait();
-                svc.handle_map(&req, 0.0)
+                svc.handle(&Request::Map(req))
             })
         })
         .collect();
